@@ -38,18 +38,6 @@ def test_marshal_generic(benchmark, live_pipeline, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_marshal_fastpath(benchmark, live_pipeline, n):
-    """Header template + pooled buffers, generic body marshalers."""
-    stubs = live_pipeline.stubs
-    client = RpcClient(PROG_NUMBER, VERS_NUMBER).enable_fastpath()
-    generic = RpcClient(PROG_NUMBER, VERS_NUMBER)
-    args = _args(live_pipeline, n)
-    assert (client.build_call(1, 1, args, stubs.xdr_intarr)
-            == generic.build_call(1, 1, args, stubs.xdr_intarr))
-    benchmark(client.build_call, 1, 1, args, stubs.xdr_intarr)
-
-
-@pytest.mark.parametrize("n", SIZES)
 def test_marshal_specialized(benchmark, live_pipeline, client_specs, n):
     client = RpcClient(PROG_NUMBER, VERS_NUMBER)
     client_specs[n].install(client)
@@ -115,31 +103,6 @@ def test_loopback_roundtrip_generic(benchmark, live_pipeline, n):
     with UdpServer(registry) as server:
         with UdpClient("127.0.0.1", server.port, PROG_NUMBER,
                        VERS_NUMBER) as transport:
-            client = stubs.XCHG_PROG_1_client(transport)
-            args = _args(live_pipeline, n)
-            assert client.SENDRECV(args).vals == [
-                v + 1 for v in range(n)
-            ]
-            benchmark(client.SENDRECV, args)
-
-
-@pytest.mark.parametrize("n", (20, 250))
-def test_loopback_roundtrip_fastpath(benchmark, live_pipeline, n):
-    """Generic marshalers on the runtime fast path: header templates,
-    pooled buffers, zero-copy decode — no Tempo run."""
-    stubs = live_pipeline.stubs
-    from repro.rpc import SvcRegistry
-
-    registry = SvcRegistry(fastpath=True)
-
-    class Impl:
-        def SENDRECV(self, args):
-            return stubs.intarr(vals=[v + 1 for v in args.vals])
-
-    stubs.register_XCHG_PROG_1(registry, Impl())
-    with UdpServer(registry, fastpath=True) as server:
-        with UdpClient("127.0.0.1", server.port, PROG_NUMBER,
-                       VERS_NUMBER, fastpath=True) as transport:
             client = stubs.XCHG_PROG_1_client(transport)
             args = _args(live_pipeline, n)
             assert client.SENDRECV(args).vals == [

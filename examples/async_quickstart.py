@@ -18,14 +18,14 @@ from repro.xdr import xdr_u_long
 
 PROG, VERS, PROC_SQUARE = 0x20005555, 1, 1
 
-registry = SvcRegistry(fastpath=True)
+registry = SvcRegistry()
 registry.enable_drc()
 registry.register(PROG, VERS, PROC_SQUARE, lambda v: v * v,
                   xdr_args=xdr_u_long, xdr_res=xdr_u_long)
 
 with MuxUdpServer(registry) as server:
     client = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
-                          fastpath=True, max_inflight=32)
+                          max_inflight=32)
     try:
         # Submit a burst of async calls: all 16 ride the window
         # together instead of paying 16 serial round trips.

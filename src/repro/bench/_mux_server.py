@@ -17,7 +17,7 @@ from repro.rpc import MuxUdpServer
 
 
 def main():
-    server = MuxUdpServer(_registry(), fastpath=True)
+    server = MuxUdpServer(_registry())
     server.start()
     print(server.port, flush=True)
     sys.stdin.read()  # parent closes the pipe to stop us

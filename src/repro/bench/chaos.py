@@ -103,7 +103,7 @@ class Replica:
         """(Re)start with a fresh registry — and a fresh reply cache,
         which is exactly the documented at-least-once window."""
         self.incarnation += 1
-        registry = SvcRegistry(fastpath=True)
+        registry = SvcRegistry()
         registry.enable_drc(DRC_CAPACITY)
         registry.install_health()
         registry.register(PROG, VERS, PROC_INC,
@@ -121,7 +121,7 @@ class Replica:
         self.registry = registry
         server_cls = MuxUdpServer if self.engine == "mux" else UdpServer
         self.server = server_cls(
-            registry, port=self.port, fastpath=True, drc=True,
+            registry, port=self.port, drc=True,
             fault_plan=plan, workers=WORKERS, queue_depth=QUEUE_DEPTH,
         )
         self.port = self.server.port

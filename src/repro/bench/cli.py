@@ -15,7 +15,8 @@ EXPERIMENTS = {
     "table4": ("Table 4 — 250-element partial unroll", unrolling.run),
     "figure6": ("Figure 6 — cross-platform panels", figure6.run),
     "ablation": ("Ablations of specializer refinements", ablation.run),
-    "live": ("Live fast path — generic vs staged runtime", live.run),
+    "live": ("Live observability cost — loopback round trip with"
+             " instrumentation off, metrics, and tracing", live.run),
     "faults": ("Fault matrix — latency/goodput under injected loss",
                faults.run),
     "chaos": ("Chaos soak — resilience invariants under loss, kills,"
@@ -34,8 +35,8 @@ EXPERIMENTS = {
 }
 
 #: experiments whose runner takes only the workload (no sizes tuple)
-_NO_SIZES = ("table4", "ablation", "faults", "chaos", "mux", "chaos_mux",
-             "cluster", "online", "overload")
+_NO_SIZES = ("table4", "ablation", "live", "faults", "chaos", "mux",
+             "chaos_mux", "cluster", "online", "overload")
 
 
 def main(argv=None):

@@ -2,8 +2,8 @@
 
 Drives loopback UDP round trips through seeded
 :class:`~repro.rpc.faults.FaultPlan` wrappers at several loss rates
-(requests and replies faulted independently), in all four corners of
-{generic, fastpath} × {DRC on, DRC off}, and reports per-cell p50/p99
+(requests and replies faulted independently), with the duplicate-
+request cache on and off, and reports per-cell p50/p99
 latency, goodput, client retransmission counts, and server
 duplicate-cache statistics.  Results are emitted as a table and as
 JSON (``BENCH_faults.json`` by default) so CI can archive the
@@ -44,9 +44,9 @@ def _percentile(sorted_values, fraction):
     return sorted_values[index]
 
 
-def _run_cell(stubs, loss, fastpath, drc, calls, seed):
+def _run_cell(stubs, loss, drc, calls, seed):
     """One bench cell; returns the measured dict."""
-    registry = SvcRegistry(fastpath=fastpath)
+    registry = SvcRegistry()
     if drc:
         registry.enable_drc()
 
@@ -64,14 +64,12 @@ def _run_cell(stubs, loss, fastpath, drc, calls, seed):
 
     with contextlib.ExitStack() as stack:
         server = stack.enter_context(
-            UdpServer(registry, fastpath=fastpath, drc=drc,
-                      fault_plan=server_plan)
+            UdpServer(registry, drc=drc, fault_plan=server_plan)
         )
         transport = stack.enter_context(
             UdpClient("127.0.0.1", server.port, PROG_NUMBER, VERS_NUMBER,
                       timeout=30.0, wait=0.005, max_wait=0.25,
-                      jitter=0.0, fastpath=fastpath,
-                      fault_plan=client_plan)
+                      jitter=0.0, fault_plan=client_plan)
         )
         client = stubs.XCHG_PROG_1_client(transport)
         latencies = []
@@ -91,7 +89,6 @@ def _run_cell(stubs, loss, fastpath, drc, calls, seed):
     return {
         "loss": loss,
         "duplicate_rate": duplicate,
-        "fastpath": fastpath,
         "drc": drc,
         "calls": calls,
         "correct": ok,
@@ -151,36 +148,31 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
         obs.tracer.sinks = list(prev_sinks) + [sink]
     try:
         for loss in LOSS_RATES:
-            for fastpath in (False, True):
-                for drc in (True, False):
-                    if sink is not None:
-                        sink.clear()
-                    cell = _run_cell(stubs, loss, fastpath, drc, calls,
-                                     seed)
-                    if sink is not None:
-                        cell["span_summary"] = summarize_spans(
-                            sink.records
-                        )
-                    results["cells"].append(cell)
-                    drc_hits = (cell["drc_stats"] or {}).get("hits", "-")
-                    rows.append((
-                        f"{int(loss * 100)}%",
-                        "fast" if fastpath else "generic",
-                        "on" if drc else "off",
-                        f"{cell['correct']}/{cell['calls']}",
-                        f"{cell['p50_us']:.0f}",
-                        f"{cell['p99_us']:.0f}",
-                        f"{cell['goodput_calls_per_s']:.0f}",
-                        cell["retransmissions"],
-                        drc_hits,
-                    ))
+            for drc in (True, False):
+                if sink is not None:
+                    sink.clear()
+                cell = _run_cell(stubs, loss, drc, calls, seed)
+                if sink is not None:
+                    cell["span_summary"] = summarize_spans(sink.records)
+                results["cells"].append(cell)
+                drc_hits = (cell["drc_stats"] or {}).get("hits", "-")
+                rows.append((
+                    f"{int(loss * 100)}%",
+                    "on" if drc else "off",
+                    f"{cell['correct']}/{cell['calls']}",
+                    f"{cell['p50_us']:.0f}",
+                    f"{cell['p99_us']:.0f}",
+                    f"{cell['goodput_calls_per_s']:.0f}",
+                    cell["retransmissions"],
+                    drc_hits,
+                ))
         results["obs_metrics"] = obs.collect()
     finally:
         obs.enabled, obs.tracer.sinks = prev_enabled, prev_sinks
     print(format_table(
         "Fault matrix — loopback UDP under seeded loss/duplication",
-        ("loss", "path", "drc", "ok", "p50us", "p99us", "call/s",
-         "retrans", "drc hits"),
+        ("loss", "drc", "ok", "p50us", "p99us", "call/s", "retrans",
+         "drc hits"),
         rows,
         note=f"drop each direction at the stated rate;"
              f" +{int(DUPLICATE_RATE * 100)}% duplicates when lossy;"

@@ -1,16 +1,10 @@
-"""``live`` report — generic vs. fast-path runtime on this machine.
+"""``live`` report — what observability costs the live RPC stack.
 
-Unlike the table/figure reports (which reproduce the paper's 1997
-numbers in the simulator), this one times the *live* Python RPC stack:
-the generic path re-encoding the call header and allocating buffers on
-every call, against the runtime fast path (pre-serialized header
-templates, pooled exact-size buffers, zero-copy decode — see
-:mod:`repro.rpc.fastpath`).  No Tempo run is needed; both paths use
-the generic XDR body marshalers, so the delta isolates exactly the
-staged constant work.
-
-Numbers are emitted as a table and as JSON (``BENCH_live.json`` by
-default) so successive PRs can track the trajectory.
+Times one loopback UDP round trip of the live Python stack with
+instrumentation off, with metrics on, and with metrics plus tracing,
+and models the cost of the disabled instrumentation from the guard
+count.  Numbers are emitted as text and as JSON (``BENCH_live.json``
+by default); CI asserts the ``obs`` section's overhead bound.
 """
 
 import contextlib
@@ -19,23 +13,19 @@ import platform
 import time
 
 from repro import obs
-from repro.bench.report import format_table, ratio
 from repro.bench.workloads import PROG_NUMBER, VERS_NUMBER, WORKLOAD_IDL
 from repro.rpc import SvcRegistry, UdpClient, UdpServer
-from repro.rpc.client import RpcClient
 from repro.rpcgen.codegen_py import load_python
 from repro.rpcgen.idl_parser import parse_idl
 
-DEFAULT_SIZES = (20, 250, 2000)
 DEFAULT_JSON = "BENCH_live.json"
 
-#: ``if obs.enabled`` guard sites executed by one fast-path loopback
+#: ``if obs.enabled`` guard sites executed by one generic loopback
 #: round trip with instrumentation off, counted by inspection of the
-#: instrumented call path: client call start + ``_finish_call`` +
-#: send/recv buffer-pool acquires (4); server datagram counter +
-#: dispatch selector + fastpath-header counter + DRC get/put + outcome
-#: verdict + reply-pool acquire (7).  Rounded up one for headroom.
-OBS_GUARDS_PER_CALL = 12
+#: instrumented call path: client call start + ``_finish_call`` (2);
+#: server datagram counter + dispatch entry + DRC begin/put + outcome
+#: verdict (5).  Rounded up one for headroom.
+OBS_GUARDS_PER_CALL = 8
 
 #: documented bound (docs/OBSERVABILITY.md): the disabled
 #: instrumentation may cost at most this fraction of a loopback round
@@ -60,26 +50,8 @@ def _stubs():
     return load_python(parse_idl(WORKLOAD_IDL), "live_bench_stubs")
 
 
-def marshal_times(stubs, n, repeats=5, number=200):
-    """(generic_us, fastpath_us) for building one call message."""
-    args = stubs.intarr(vals=list(range(n)))
-    generic = RpcClient(PROG_NUMBER, VERS_NUMBER)
-    fast = RpcClient(PROG_NUMBER, VERS_NUMBER).enable_fastpath()
-    wire = generic.build_call(7, 1, args, stubs.xdr_intarr)
-    assert fast.build_call(7, 1, args, stubs.xdr_intarr) == wire
-    generic_us = _best_us(
-        lambda: generic.build_call(7, 1, args, stubs.xdr_intarr),
-        repeats, number,
-    )
-    fast_us = _best_us(
-        lambda: fast.build_call(7, 1, args, stubs.xdr_intarr),
-        repeats, number,
-    )
-    return generic_us, fast_us
-
-
-def _registry(stubs, fastpath):
-    registry = SvcRegistry(fastpath=fastpath)
+def _registry(stubs):
+    registry = SvcRegistry()
 
     class Impl:
         def SENDRECV(self, args):
@@ -87,50 +59,6 @@ def _registry(stubs, fastpath):
 
     stubs.register_XCHG_PROG_1(registry, Impl())
     return registry
-
-
-def roundtrip_times(stubs, n, repeats=3, number=200):
-    """(generic_us, fastpath_us, fastpath_allocs) for one loopback UDP
-    round trip.  ``fastpath_allocs`` counts client buffer-pool
-    allocations over the timed calls — 0 means the steady state is
-    allocation-free.
-
-    Both endpoints stay up for the whole measurement and the repeats
-    are interleaved generic/fastpath, so a noisy scheduling burst hits
-    both modes instead of skewing the ratio."""
-    args = stubs.intarr(vals=list(range(n)))
-    want = [v + 1 for v in range(n)]
-
-    with contextlib.ExitStack() as stack:
-        clients = {}
-        for fastpath in (False, True):
-            registry = _registry(stubs, fastpath)
-            server = stack.enter_context(
-                UdpServer(registry, fastpath=fastpath)
-            )
-            transport = stack.enter_context(
-                UdpClient("127.0.0.1", server.port, PROG_NUMBER,
-                          VERS_NUMBER, fastpath=fastpath)
-            )
-            client = stubs.XCHG_PROG_1_client(transport)
-            assert client.SENDRECV(args).vals == want
-            clients[fastpath] = (transport, client)
-        fast_transport = clients[True][0]
-        allocs_before = (fast_transport._send_pool.allocations
-                         + fast_transport._recv_pool.allocations)
-        best = {False: float("inf"), True: float("inf")}
-        for _ in range(repeats):
-            for fastpath in (False, True):
-                call = clients[fastpath][1].SENDRECV
-                started = time.perf_counter()
-                for _ in range(number):
-                    call(args)
-                elapsed = time.perf_counter() - started
-                best[fastpath] = min(best[fastpath], elapsed / number)
-        allocs = (fast_transport._send_pool.allocations
-                  + fast_transport._recv_pool.allocations
-                  - allocs_before)
-    return best[False] * 1e6, best[True] * 1e6, allocs
 
 
 def guard_cost_ns(number=200000, repeats=5):
@@ -154,7 +82,7 @@ def guard_cost_ns(number=200000, repeats=5):
 
 
 def obs_overhead(stubs, n=64, repeats=3, number=200):
-    """Measure what observability costs a fast-path round trip.
+    """Measure what observability costs a loopback round trip.
 
     The headline number is deterministic, not differential: there is
     no uninstrumented build to diff against, so the disabled cost is
@@ -169,19 +97,16 @@ def obs_overhead(stubs, n=64, repeats=3, number=200):
     obs.enabled, obs.tracer.sinks = False, []
     try:
         guard_ns = guard_cost_ns()
-        registry = _registry(stubs, fastpath=True)
         args = stubs.intarr(vals=list(range(n)))
         roundtrip_us = {}
         with contextlib.ExitStack() as stack:
-            server = stack.enter_context(
-                UdpServer(registry, fastpath=True)
-            )
+            server = stack.enter_context(UdpServer(_registry(stubs)))
             transport = stack.enter_context(
                 UdpClient("127.0.0.1", server.port, PROG_NUMBER,
-                          VERS_NUMBER, fastpath=True)
+                          VERS_NUMBER)
             )
             client = stubs.XCHG_PROG_1_client(transport)
-            client.SENDRECV(args)  # warm templates and pools
+            client.SENDRECV(args)  # warm up
             memory_sink = obs.MemorySink()
             modes = (
                 ("disabled", False, False),
@@ -211,15 +136,18 @@ def obs_overhead(stubs, n=64, repeats=3, number=200):
         obs.enabled, obs.tracer.sinks = prev_enabled, prev_sinks
 
 
-def run(workload=None, sizes=DEFAULT_SIZES, repeats=5, number=200,
-        json_path=DEFAULT_JSON):
-    """Print the generic-vs-fastpath table and write the JSON report.
+def run(workload=None, repeats=3, number=200, json_path=DEFAULT_JSON):
+    """Print the observability cost report and write the JSON report.
 
     ``workload`` is accepted (and ignored) for CLI uniformity with the
     simulator reports — the live report needs no Tempo run.
     """
     del workload
     stubs = _stubs()
+    # the metrics-on runs of the A/B fill the snapshot that rides
+    # along, so the report shows what the instruments see
+    obs.registry.reset()
+    overhead = obs_overhead(stubs, repeats=repeats, number=number)
     results = {
         "meta": {
             "python": platform.python_version(),
@@ -227,62 +155,10 @@ def run(workload=None, sizes=DEFAULT_SIZES, repeats=5, number=200,
             "repeats": repeats,
             "number": number,
         },
-        "marshal": {},
-        "roundtrip": {},
+        "obs": overhead,
+        "obs_metrics": obs.collect(),
     }
-    marshal_rows = []
-    roundtrip_rows = []
-    for n in sizes:
-        generic_us, fast_us = marshal_times(stubs, n, repeats, number)
-        speedup = ratio(generic_us, fast_us)
-        results["marshal"][str(n)] = {
-            "generic_us": generic_us,
-            "fastpath_us": fast_us,
-            "speedup": speedup,
-        }
-        marshal_rows.append((n, generic_us, fast_us, speedup))
-    for n in sizes:
-        generic_us, fast_us, allocs = roundtrip_times(
-            stubs, n, max(3, repeats - 2), number
-        )
-        speedup = ratio(generic_us, fast_us)
-        results["roundtrip"][str(n)] = {
-            "generic_us": generic_us,
-            "fastpath_us": fast_us,
-            "speedup": speedup,
-            "fastpath_pool_allocations": allocs,
-        }
-        roundtrip_rows.append((n, generic_us, fast_us, speedup))
-    overhead = obs_overhead(stubs, repeats=max(3, repeats - 2),
-                            number=number)
-    results["obs"] = overhead
-    # a populated snapshot rides along so the report shows what the
-    # instruments see for this exact workload (one metrics-on repeat
-    # ran above as part of the A/B measurement)
-    snapshot_state = obs.enabled
-    obs.registry.reset()
-    obs.enabled = True
-    try:
-        marshal_times(stubs, sizes[0], repeats=1, number=10)
-        roundtrip_times(stubs, sizes[0], repeats=1, number=10)
-    finally:
-        obs.enabled = snapshot_state
-    results["obs_metrics"] = obs.collect()
-    print(format_table(
-        "Live marshal — generic vs fast path (us/call)",
-        ("n", "generic", "fastpath", "speedup"),
-        marshal_rows,
-    ))
-    print()
-    print(format_table(
-        "Live UDP loopback round trip — generic vs fast path (us/call)",
-        ("n", "generic", "fastpath", "speedup"),
-        roundtrip_rows,
-        note="fast path: header templates + pooled exact-size buffers"
-             " + zero-copy decode (repro.rpc.fastpath)",
-    ))
     rt = overhead["roundtrip_us"]
-    print()
     print("Observability: disabled-guard cost"
           f" {overhead['guard_ns']:.1f}ns x"
           f" {overhead['guards_per_call']} guards"

@@ -10,11 +10,11 @@ datagrams, so throughput scales with concurrency until the server
 saturates.
 
 Method: one event-loop UDP server
-(:class:`~repro.rpc.svc_mux.MuxUdpServer`, inline dispatch, fastpath +
-DRC + a staged residual route for the benched procedure — the fully
+(:class:`~repro.rpc.svc_mux.MuxUdpServer`, inline dispatch, DRC + a
+staged residual route for the benched procedure — the fully
 specialized production configuration) running in its *own process*,
 like a real deployment; the baseline is the threaded serial client
-(:class:`~repro.rpc.UdpClient`) exactly as it ships (fastpath tier),
+(:class:`~repro.rpc.UdpClient`) exactly as it ships (generic tier),
 calling in a loop.  A second serial row adds the same hand-staged
 whole-message codec the mux rows use, so the call-model delta is also
 visible at equal marshaling cost.  The curve drives a
@@ -41,8 +41,11 @@ import time
 
 from repro.bench.report import format_table, ratio
 from repro.rpc import MuxUdpClient, SvcRegistry, UdpClient
-from repro.rpc.fastpath import ReplyHeaderTemplate
-from repro.rpc.message import decode_reply_header, raise_for_reply
+from repro.rpc.message import (
+    accepted_reply_tail,
+    decode_reply_header,
+    raise_for_reply,
+)
 from repro.xdr import XdrMemStream, XdrOp, xdr_u_long
 
 DEFAULT_JSON = "BENCH_mux.json"
@@ -56,7 +59,7 @@ _WORD = struct.Struct(">I")
 _REQ = struct.Struct(">I36sI")
 _REQ_MID = struct.pack(">9I", 0, 2, PROG, VERS, PROC_INC, 0, 0, 0, 0)
 _REP = struct.Struct(">I20sI")
-_REP_MID = ReplyHeaderTemplate().prefix[4:]
+_REP_MID = accepted_reply_tail()
 
 
 def _build_request(xid, args):
@@ -127,7 +130,7 @@ class _ServerProcess:
 
 
 def _registry():
-    registry = SvcRegistry(fastpath=True)
+    registry = SvcRegistry()
     registry.enable_drc()
     registry.register(PROG, VERS, PROC_INC, lambda v: (v + 1) & 0xFFFFFFFF,
                       xdr_args=xdr_u_long, xdr_res=xdr_u_long)
@@ -140,7 +143,7 @@ def _serial_goodput(port, calls, codec):
     """Calls/s of the threaded serial client.
 
     ``codec=False`` is the production client exactly as it ships
-    (fastpath templates) — the baseline the headline speedup divides
+    (generic marshaling) — the baseline the headline speedup divides
     by.  ``codec=True`` additionally installs the same hand-staged
     whole-message codec the mux rows use, reported alongside so the
     call-model delta is visible at equal marshaling cost.
@@ -152,8 +155,7 @@ def _serial_goodput(port, calls, codec):
     """
     rates = []
     for _ in range(3):
-        client = UdpClient("127.0.0.1", port, PROG, VERS, timeout=5.0,
-                           fastpath=True)
+        client = UdpClient("127.0.0.1", port, PROG, VERS, timeout=5.0)
         if codec:
             client.install_codec(PROC_INC, _build_request, _parse_reply)
         try:
@@ -185,7 +187,7 @@ def _mux_goodput(port, concurrency, calls):
     import collections
 
     client = MuxUdpClient("127.0.0.1", port, PROG, VERS, timeout=5.0,
-                          fastpath=True, max_inflight=concurrency)
+                          max_inflight=concurrency)
     client.install_codec(PROC_INC, _build_request, _parse_reply)
     rates = []
     try:
@@ -236,7 +238,7 @@ def run(workload=None, json_path=DEFAULT_JSON):
             "python": platform.python_version(),
             "platform": platform.platform(),
             "calls_per_point": calls,
-            "server": "MuxUdpServer(subprocess, inline, fastpath, drc,"
+            "server": "MuxUdpServer(subprocess, inline, drc,"
                       " staged route)",
             "baseline": "UdpClient(specialized codec) serial loop",
         },

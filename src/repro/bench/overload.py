@@ -152,7 +152,7 @@ class Replica:
     def __init__(self, name, seed, controlled):
         self.name = name
         self.controlled = controlled
-        registry = SvcRegistry(fastpath=True)
+        registry = SvcRegistry()
         registry.enable_drc(DRC_CAPACITY)
         registry.install_health()
 
@@ -165,7 +165,7 @@ class Replica:
         self.registry = registry
         self.plan = FaultPlan(seed=seed)
         self.server = UdpServer(
-            registry, fastpath=True, drc=True, fault_plan=self.plan,
+            registry, drc=True, fault_plan=self.plan,
             workers=WORKERS, queue_depth=QUEUE_DEPTH,
             queue_policy=("codel-lifo" if controlled else "fifo"),
             queue_target_s=0.005, queue_interval_s=0.05,

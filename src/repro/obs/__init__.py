@@ -5,7 +5,7 @@ micro-layer stack spends its time and specializes accordingly.  This
 package is the live stack's measuring instrument — per-call trace
 spans (:mod:`repro.obs.trace`) and stack-wide counters/gauges/
 histograms (:mod:`repro.obs.metrics`) threaded through the clients,
-the servers, the fast path, the DRC, the fault injectors, and the
+the servers, the residual routes, the DRC, the fault injectors, and the
 specialization cache.  The online-specialization follow-up work
 (PAPERS.md) treats exactly this kind of runtime observation as the
 input that drives specialization decisions.

@@ -14,7 +14,7 @@ METRICS = {
     "rpc.client.calls": (
         "counter", "transport, tier",
         "calls started, by transport (udp/tcp) and dispatch tier"
-        " (generic/fastpath/specialized)"),
+        " (generic/specialized)"),
     "rpc.client.attempts": (
         "counter", "transport",
         "datagrams/records sent including retransmissions"),
@@ -113,20 +113,15 @@ METRICS = {
     "rpc.server.dispatch_latency_s": (
         "histogram", "",
         "dispatch_bytes latency in seconds, DRC replays included"),
-    "rpc.server.fastpath_header_hits": (
-        "counter", "",
-        "call headers recognized by the fast-path slice compare"),
-    "rpc.server.fastpath_fallbacks": (
-        "counter", "",
-        "fast-path-enabled dispatches that fell back to the generic"
-        " header decoder"),
-    "rpc.server.specialized_hits": (
-        "counter", "",
-        "requests answered by the compiled residual dispatcher"),
-    "rpc.server.specialized_fallbacks": (
-        "counter", "",
-        "requests the residual dispatcher handed to the generic"
-        " fallback registry"),
+    "rpc.server.route_hits": (
+        "counter", "tier",
+        "requests a residual route answered, by the route's tier"
+        " (staged/specialized/online)"),
+    "rpc.server.route_misses": (
+        "counter", "tier",
+        "requests of a routed procedure its route did not answer (no"
+        " residual for the size, or the residual declined), answered"
+        " by the generic path"),
     "rpc.server.datagrams": (
         "counter", "transport",
         "transport-level receive events (UDP datagrams handled)"),
@@ -241,13 +236,6 @@ METRICS = {
     "rpc.quota.callers": (
         "gauge", "",
         "caller buckets tracked in the quota LRU"),
-    # -- buffer pools ----------------------------------------------------
-    "rpc.pool.reuses": (
-        "counter", "",
-        "buffer acquisitions served from the free-list"),
-    "rpc.pool.allocations": (
-        "counter", "",
-        "buffer acquisitions that had to allocate (steady state: 0)"),
     # -- fault injection -------------------------------------------------
     "faults.injected": (
         "counter", "kind",
@@ -261,8 +249,8 @@ METRICS = {
         " (the evidence pool promotions are decided from)"),
     "rpc.spec.online.hits": (
         "counter", "side",
-        "calls answered by a hot-swapped online-specialized route or"
-        " codec"),
+        "client calls coded by a hot-swapped online-specialized codec"
+        " (server-side hits are rpc.server.route_hits{tier=online})"),
     "rpc.spec.online.violations": (
         "counter", "side",
         "invariant-guard misses: messages outside the specialized"
@@ -332,4 +320,4 @@ SPANS = {
 }
 
 #: every label value the ``tier`` field/label may take.
-TIERS = ("generic", "fastpath", "specialized", "online")
+TIERS = ("generic", "staged", "specialized", "online")

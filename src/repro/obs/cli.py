@@ -50,7 +50,7 @@ def run_demo(calls=DEMO_CALLS, loss=DEMO_LOSS, seed=DEMO_SEED,
     if not was_enabled:
         obs.enable()
     stubs = load_python(parse_idl(WORKLOAD_IDL), "obs_demo_stubs")
-    registry = SvcRegistry(fastpath=True)
+    registry = SvcRegistry()
 
     class Impl:
         def SENDRECV(self, args):
@@ -61,11 +61,11 @@ def run_demo(calls=DEMO_CALLS, loss=DEMO_LOSS, seed=DEMO_SEED,
     client_plan = FaultPlan(seed=seed, drop=loss, duplicate=0.10)
     server_plan = FaultPlan(seed=seed + 1, drop=loss, duplicate=0.10)
     try:
-        with UdpServer(registry, fastpath=True, drc=True,
+        with UdpServer(registry, drc=True,
                        fault_plan=server_plan) as server:
             with UdpClient("127.0.0.1", server.port, PROG_NUMBER,
                            VERS_NUMBER, timeout=30.0, wait=0.005,
-                           max_wait=0.25, jitter=0.0, fastpath=True,
+                           max_wait=0.25, jitter=0.0,
                            fault_plan=client_plan) as transport:
                 client = stubs.XCHG_PROG_1_client(transport)
                 for _ in range(calls):
@@ -105,7 +105,7 @@ def _cmd_dump(args):
         sys.stdout.write("\n")
     else:
         print(f"# metrics after {args.calls} seeded loopback calls"
-              f" at {int(args.loss * 100)}% loss (fastpath + DRC on)")
+              f" at {int(args.loss * 100)}% loss (DRC on)")
         _print_snapshot(snapshot)
         if args.trace:
             print(f"# trace written to {args.trace}")

@@ -23,7 +23,7 @@ import threading
 
 #: Default latency bucket upper edges, in seconds.  Chosen around the
 #: loopback RPC regime this repo measures: tens of microseconds for
-#: the fast path through seconds for retransmitted calls under loss.
+#: residual-route calls through seconds for retransmitted calls under loss.
 DEFAULT_LATENCY_BUCKETS_S = (
     25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
     1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,

@@ -33,7 +33,6 @@ from repro.rpc.clnt_tcp import TcpClient
 from repro.rpc.clnt_udp import CallStats, UdpClient
 from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.durable import DrcJournal, attach_journal
-from repro.rpc.fastpath import BufferPool, CallHeaderTemplate, ReplyHeaderTemplate
 from repro.rpc.faults import FaultPlan, FaultySocket
 from repro.rpc.fleet import (
     DrcReplicator,
@@ -68,7 +67,7 @@ from repro.rpc.resilience import (
     TokenBucket,
     WorkerPool,
 )
-from repro.rpc.server import SvcRegistry, rpc_service
+from repro.rpc.server import Route, SvcRegistry, rpc_service
 from repro.rpc.svc_mux import MuxTcpServer, MuxUdpServer, make_server
 from repro.rpc.svc_tcp import TcpServer
 from repro.rpc.svc_udp import UdpServer
@@ -76,8 +75,6 @@ from repro.rpc.svc_udp import UdpServer
 __all__ = [
     "AUTH_NONE",
     "AUTH_SYS",
-    "BufferPool",
-    "CallHeaderTemplate",
     "CallStats",
     "CallerQuota",
     "CircuitBreaker",
@@ -118,8 +115,8 @@ __all__ = [
     "OpaqueAuth",
     "make_auth_none",
     "make_auth_sys",
-    "ReplyHeaderTemplate",
     "RPC_VERSION",
+    "Route",
     "SvcRegistry",
     "rpc_service",
     "TcpClient",

@@ -4,32 +4,17 @@ Transports (:class:`~repro.rpc.clnt_udp.UdpClient`,
 :class:`~repro.rpc.clnt_tcp.TcpClient`) share message construction and
 reply validation; marshaling is pluggable so the Tempo-specialized
 marshalers drop in for the generic XDR micro-layers (the client-side
-half of the paper's experiment).
-
-Two message-building disciplines coexist:
-
-* the *generic* path re-encodes the call header through the XDR
-  micro-layers and allocates a fresh buffer on every call — the
-  unspecialized baseline of the paper;
-* the *fast* path (:meth:`RpcClient.enable_fastpath`) stages the
-  constant work the way the paper's specializer does: the header is a
-  pre-serialized :class:`~repro.rpc.fastpath.CallHeaderTemplate`
-  patched with the xid, and buffers come from a
-  :class:`~repro.rpc.fastpath.BufferPool` so steady-state calls
-  allocate nothing.  Both produce byte-identical wire messages.
+half of the paper's experiment).  The generic path re-encodes the call
+header through the XDR micro-layers on every call — the unspecialized
+baseline of the paper.
 """
 
 import itertools
 import os
 import struct
 
-from repro.errors import RpcProtocolError, XdrError
+from repro.errors import RpcProtocolError
 from repro.rpc.auth import NULL_AUTH
-from repro.rpc.fastpath import (
-    BufferPool,
-    CallHeaderTemplate,
-    ReplyHeaderTemplate,
-)
 from repro.rpc.message import (
     CallHeader,
     decode_reply_header,
@@ -41,16 +26,6 @@ from repro.xdr import XdrMemStream, XdrOp
 
 #: Sun's UDP transfer-unit default.
 UDPMSGSIZE = 8800
-
-#: Smallest buffer the fast path will shrink to: the worst-case header
-#: (two 400-byte auth areas) and error/mismatch replies must still fit
-#: even when the expected success message is tiny.
-MIN_FASTPATH_BUFSIZE = 1024
-
-#: The accepted-SUCCESS reply header with a NULL verifier — the common
-#: case; the fast path checks replies against it with one slice compare
-#: and leaves everything else to the generic header decoder.
-_ACCEPTED_SUCCESS = ReplyHeaderTemplate()
 
 
 class RpcClient:
@@ -77,10 +52,6 @@ class RpcClient:
         #: the specialization pipeline (the residual code marshals the
         #: call header too, as the paper's specialized clntudp_call does).
         self._codecs = {}
-        #: fast-path state: per-proc header templates + buffer pools.
-        self._templates = {}
-        self._send_pool = None
-        self._recv_pool = None
 
     # -- marshaling plug points ------------------------------------------
 
@@ -102,51 +73,6 @@ class RpcClient:
         """
         self._codecs[proc] = (build_request, parse_reply)
 
-    # -- fast path --------------------------------------------------------
-
-    @property
-    def fastpath_enabled(self):
-        return self._send_pool is not None
-
-    def enable_fastpath(self, send_size=None, recv_size=None, pool_limit=4):
-        """Turn on header templates and buffer pooling.
-
-        ``send_size``/``recv_size`` bound the pooled buffers (default:
-        ``bufsize``); an installed specialization narrows them to the
-        exact expected message sizes via :meth:`configure_buffers`.
-        """
-        send_size = send_size or self.bufsize
-        recv_size = recv_size or self.bufsize
-        self._send_pool = BufferPool(send_size, limit=pool_limit, prefill=1)
-        self._recv_pool = BufferPool(recv_size, limit=pool_limit, prefill=1)
-        return self
-
-    def disable_fastpath(self):
-        self._send_pool = None
-        self._recv_pool = None
-        self._templates.clear()
-
-    def configure_buffers(self, request_size, reply_size):
-        """Shrink the pools to exact-fit message sizes (plus headroom
-        for error replies) — called when a specialization is installed
-        and the wire sizes are known invariants."""
-        if not self.fastpath_enabled:
-            return
-        limit = self._send_pool.limit
-        send = max(int(request_size), MIN_FASTPATH_BUFSIZE)
-        recv = max(int(reply_size), MIN_FASTPATH_BUFSIZE)
-        self._send_pool = BufferPool(send, limit=limit, prefill=1)
-        self._recv_pool = BufferPool(recv, limit=limit, prefill=1)
-
-    def _template_for(self, proc):
-        template = self._templates.get(proc)
-        if template is None:
-            template = CallHeaderTemplate(
-                self.prog, self.vers, proc, self.cred, self.verf
-            )
-            self._templates[proc] = template
-        return template
-
     def _encode_body(self, stream, proc, args, xdr_args):
         override = self._marshalers.get(proc)
         if override is not None and override[0] is not None:
@@ -163,13 +89,6 @@ class RpcClient:
         codec = self._codecs.get(proc)
         if codec is not None:
             return codec[0](xid, args)
-        if self.fastpath_enabled:
-            buffer, length = self.build_call_pooled(xid, proc, args,
-                                                    xdr_args)
-            try:
-                return bytes(buffer[:length])
-            finally:
-                self.release_send_buffer(buffer)
         buffer = bytearray(self.bufsize)
         stream = XdrMemStream(buffer, XdrOp.ENCODE)
         header = CallHeader(xid, self.prog, self.vers, proc, self.cred,
@@ -182,9 +101,8 @@ class RpcClient:
         """Serialize a call carrying ``deadline``'s remaining budget in
         the opaque deadline cred (:mod:`repro.rpc.overload`).
 
-        Deliberately bypasses the header template and whole-message
-        codecs — those are specialized for the constant NULL-cred
-        shape — and returns a mutable ``bytearray`` so the transports
+        Deliberately bypasses the whole-message codecs — those are
+        specialized for the constant NULL-cred shape — and returns a mutable ``bytearray`` so the transports
         can re-stamp a shrunken budget into retransmissions with
         :func:`~repro.rpc.overload.stamp_deadline`.
         """
@@ -196,50 +114,6 @@ class RpcClient:
         length = self._encode_body(stream, proc, args, xdr_args)
         del buffer[length:]
         return buffer
-
-    def _encode_into(self, buffer, xid, proc, args, xdr_args):
-        offset = self._template_for(proc).write_into(buffer, xid)
-        stream = XdrMemStream(buffer, XdrOp.ENCODE, offset=offset)
-        return self._encode_body(stream, proc, args, xdr_args)
-
-    def build_call_pooled(self, xid, proc, args, xdr_args):
-        """Fast path: serialize into a pooled buffer.
-
-        Returns ``(buffer, length)``; the caller sends
-        ``buffer[:length]`` and must hand the buffer back via
-        :meth:`release_send_buffer`.  Requires an enabled fast path and
-        no whole-message codec for ``proc`` (codecs own their bytes).
-        Calls that overflow an exact-fit pool (another proc, bigger
-        args than the installed invariants) retry once with a
-        full-size scratch buffer instead of failing.
-        """
-        buffer = self._send_pool.acquire()
-        try:
-            length = self._encode_into(buffer, xid, proc, args, xdr_args)
-        except XdrError:
-            self.release_send_buffer(buffer)
-            if len(buffer) >= self.bufsize:
-                raise
-            buffer = bytearray(self.bufsize)
-            length = self._encode_into(buffer, xid, proc, args, xdr_args)
-        except BaseException:
-            self.release_send_buffer(buffer)
-            raise
-        return buffer, length
-
-    def release_send_buffer(self, buffer):
-        if self._send_pool is not None:
-            self._send_pool.release(buffer)
-
-    def acquire_recv_buffer(self):
-        """A pooled receive buffer (fast path only, else a fresh one)."""
-        if self._recv_pool is not None:
-            return self._recv_pool.acquire()
-        return bytearray(self.bufsize)
-
-    def release_recv_buffer(self, buffer):
-        if self._recv_pool is not None:
-            self._recv_pool.release(buffer)
 
     def parse_reply(self, data, xid, proc, xdr_res):
         """Validate a reply message and decode the results.
@@ -253,17 +127,6 @@ class RpcClient:
         codec = self._codecs.get(proc)
         if codec is not None:
             return codec[1](data, xid)
-        if self.fastpath_enabled and _ACCEPTED_SUCCESS.matches(data):
-            if struct.unpack_from(">I", data, 0)[0] != xid:
-                return False, None
-            stream = XdrMemStream(data, XdrOp.DECODE,
-                                  offset=_ACCEPTED_SUCCESS.size)
-            override = self._marshalers.get(proc)
-            if override is not None and override[1] is not None:
-                return True, override[1](stream)
-            if xdr_res is not None:
-                return True, xdr_res(stream, None)
-            return True, None
         stream = XdrMemStream(data, XdrOp.DECODE)
         reply = decode_reply_header(stream)
         if reply.xid != xid:

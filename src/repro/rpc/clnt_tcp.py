@@ -36,15 +36,13 @@ class TcpClient(RpcClient):
 
     After a :class:`~repro.errors.RpcConnectionError` the client can be
     revived in place with :meth:`reconnect`, which re-establishes the
-    connection *and* resets per-call state — pooled fast-path buffers
-    are discarded (a half-written request must never be resent from a
-    dirty buffer) and no span state survives the failed call, so a
-    failed-then-retried call reports exactly one encode span per
-    attempt.
+    connection *and* resets per-call state — no span state survives the
+    failed call, so a failed-then-retried call reports exactly one
+    encode span per attempt.
     """
 
     def __init__(self, host, port, prog, vers, timeout=25.0, bufsize=1 << 16,
-                 fastpath=False, fault_plan=None, **kwargs):
+                 fault_plan=None, **kwargs):
         super().__init__(prog, vers, bufsize=bufsize, **kwargs)
         self.address = (host, port)
         self.timeout = timeout
@@ -56,8 +54,6 @@ class TcpClient(RpcClient):
         #: successful :meth:`reconnect` calls over the client's lifetime
         self.reconnects = 0
         self.sock = self._connect(timeout)
-        if fastpath:
-            self.enable_fastpath()
 
     def _connect(self, timeout):
         """A connected (and fault-wrapped) socket to ``self.address``."""
@@ -83,10 +79,9 @@ class TcpClient(RpcClient):
         """Re-establish the connection after a connection failure.
 
         Resets per-call state so the retried call starts clean: the
-        old socket (possibly holding a half-written record) is closed,
-        and with the fast path on, the buffer pools are rebuilt — a
-        buffer that held a partially transmitted request is never
-        reused for the retry.  ``deadline`` bounds the connect attempt
+        old socket (possibly holding a half-written record) is closed
+        and every request is re-encoded.  ``deadline`` bounds the
+        connect attempt
         (it draws from the same per-call budget as everything else).
         """
         deadline = Deadline.coerce(deadline)
@@ -105,14 +100,6 @@ class TcpClient(RpcClient):
                     f"deadline exceeded reconnecting to {self.address}"
                 ) from None
             raise
-        if self.fastpath_enabled:
-            # Discard pooled buffers from the failed connection: a
-            # fresh pool guarantees the retry never sends bytes left
-            # over from a half-written request.
-            send_pool, recv_pool = self._send_pool, self._recv_pool
-            self.enable_fastpath(send_size=send_pool.size,
-                                 recv_size=recv_pool.size,
-                                 pool_limit=send_pool.limit)
         self.reconnects += 1
         return self
 
@@ -127,9 +114,7 @@ class TcpClient(RpcClient):
         xid = self.next_xid()
         span = None
         if _obs.enabled:
-            tier = ("specialized" if proc in self._codecs
-                    else "fastpath" if self.fastpath_enabled
-                    else "generic")
+            tier = "specialized" if proc in self._codecs else "generic"
             _obs.registry.counter("rpc.client.calls", transport="tcp",
                                   tier=tier).inc()
             span = _obs.span("client.call", side="client", transport="tcp",
@@ -183,7 +168,6 @@ class TcpClient(RpcClient):
 
     def _call_once(self, xid, proc, args, xdr_args, xdr_res, span=None,
                    deadline=None):
-        send_buffer = None
         wait_span = None
         encode_span = (span.child("client.encode")
                        if span is not None else None)
@@ -194,11 +178,6 @@ class TcpClient(RpcClient):
                 # the deadline cred so the server can drop doomed work.
                 request = self.build_call_deadline(xid, proc, args,
                                                    xdr_args, deadline)
-            elif self.fastpath_enabled and proc not in self._codecs:
-                send_buffer, length = self.build_call_pooled(
-                    xid, proc, args, xdr_args
-                )
-                request = memoryview(send_buffer)[:length]
             else:
                 request = self.build_call(xid, proc, args, xdr_args)
         except BaseException as exc:
@@ -213,9 +192,6 @@ class TcpClient(RpcClient):
             write_record(self.sock, request)
             if send_span is not None:
                 send_span.end()
-            if send_buffer is not None:
-                self.release_send_buffer(send_buffer)
-                send_buffer = None
             wait_span = (span.child("client.wait")
                          if span is not None else None)
             while True:
@@ -263,8 +239,6 @@ class TcpClient(RpcClient):
                 ConnectionAbortedError) as exc:
             raise RpcConnectionError(f"connection failed: {exc}") from exc
         finally:
-            if send_buffer is not None:
-                self.release_send_buffer(send_buffer)
             if wait_span is not None:
                 # Idempotent: a no-op when the reply path already
                 # closed it; closes the span on every error path.

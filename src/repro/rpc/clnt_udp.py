@@ -21,13 +21,6 @@ Two robustness guarantees the naive loop lacks:
   duplicate-request cache replays it without re-executing the
   handler).
 
-With the fast path on (``fastpath=True`` or
-:meth:`~repro.rpc.client.RpcClient.enable_fastpath`), the request is
-serialized into a pooled buffer from a pre-built header template,
-replies land in a pooled receive buffer via ``recv_into``, and
-decoding reads a ``memoryview`` of that buffer — one complete call
-performs no per-call buffer allocation.
-
 Telemetry (``repro.obs``): when observability is enabled, each call
 emits a ``client.call`` span with ``client.encode`` / ``client.send``
 / ``client.wait`` / ``client.decode`` children, and the per-call
@@ -135,7 +128,6 @@ class UdpClient(RpcClient):
         jitter=0.1,
         retrans_seed=None,
         bufsize=UDPMSGSIZE,
-        fastpath=False,
         fault_plan=None,
         retry_budget=None,
         **kwargs,
@@ -172,8 +164,6 @@ class UdpClient(RpcClient):
         self.garbage_datagrams = 0
         #: :class:`CallStats` of the most recent call
         self.last_call_stats = None
-        if fastpath:
-            self.enable_fastpath()
 
     def stats_summary(self):
         """Cumulative client statistics (the registry mirrors these)."""
@@ -196,15 +186,12 @@ class UdpClient(RpcClient):
         xid = self.next_xid()
         span = None
         if _obs.enabled:
-            tier = ("specialized" if proc in self._codecs
-                    else "fastpath" if self.fastpath_enabled
-                    else "generic")
+            tier = "specialized" if proc in self._codecs else "generic"
             _obs.registry.counter("rpc.client.calls", transport="udp",
                                   tier=tier).inc()
             span = _obs.span("client.call", side="client", transport="udp",
                              xid=xid, prog=self.prog, vers=self.vers,
                              proc=proc, tier=tier)
-        send_buffer = None
         try:
             encode_span = (span.child("client.encode")
                            if span is not None else None)
@@ -217,11 +204,6 @@ class UdpClient(RpcClient):
                     request = self.build_call_deadline(
                         xid, proc, args, xdr_args, deadline
                     )
-                elif self.fastpath_enabled and proc not in self._codecs:
-                    send_buffer, length = self.build_call_pooled(
-                        xid, proc, args, xdr_args
-                    )
-                    request = memoryview(send_buffer)[:length]
                 else:
                     request = self.build_call(xid, proc, args, xdr_args)
             except BaseException as exc:
@@ -241,9 +223,6 @@ class UdpClient(RpcClient):
             if span is not None:
                 span.end(outcome="error", error=type(exc).__name__)
             raise
-        finally:
-            if send_buffer is not None:
-                self.release_send_buffer(send_buffer)
         if span is not None:
             span.end(outcome="ok")
         return value
@@ -409,20 +388,9 @@ class UdpClient(RpcClient):
             if not readable:
                 return None
             try:
-                if self.fastpath_enabled:
-                    recv_buffer = self.acquire_recv_buffer()
-                    try:
-                        nbytes = self.sock.recv_into(recv_buffer)
-                        data = memoryview(recv_buffer)[:nbytes]
-                        matched, value = self._parse_traced(
-                            data, xid, proc, xdr_res, stats, span
-                        )
-                    finally:
-                        self.release_recv_buffer(recv_buffer)
-                else:
-                    data, _addr = self.sock.recvfrom(self.bufsize)
-                    matched, value = self._parse_traced(data, xid, proc,
-                                                        xdr_res, stats, span)
+                data, _addr = self.sock.recvfrom(self.bufsize)
+                matched, value = self._parse_traced(data, xid, proc,
+                                                    xdr_res, stats, span)
             except (BlockingIOError, InterruptedError):
                 # Genuinely spurious readiness (e.g. the kernel dropped
                 # a datagram with a bad checksum after select returned)

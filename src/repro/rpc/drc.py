@@ -71,10 +71,9 @@ class DuplicateRequestCache:
     def get(self, key):
         """The cached raw reply for ``key``, or None (counts a miss).
 
-        A key whose handler is still executing (claimed via
-        :meth:`claim` but not yet answered) reads as a miss — the
-        dispatcher then calls :meth:`claim` itself and learns, under
-        the lock, that the request is in flight.
+        A key whose handler is still executing (claimed but not yet
+        answered) reads as a miss — :meth:`claim` learns, under the
+        lock, that the request is in flight.
         """
         with self._lock:
             reply = self._entries.get(key)
@@ -122,10 +121,11 @@ class DuplicateRequestCache:
     def begin(self, key):
         """Fused :meth:`get` + :meth:`claim` under one lock round-trip.
 
-        The staged residual routes (``SvcRegistry.stage_route``) decode
-        their arguments with one ``struct`` call, so the two separate
-        lock acquisitions of get-then-claim dominate the DRC's cost on
-        that path.  Semantics match the two-step protocol exactly:
+        ``SvcRegistry.dispatch_bytes`` consults the cache once per
+        request with this, before a residual route or the generic path
+        runs; a route that declines hands its claim to the generic
+        path instead of re-taking it.  Semantics match the two-step
+        protocol exactly:
 
         * ``True`` — first sighting; the caller owns the key, must run
           the handler and :meth:`put` (or :meth:`abandon`) the result;

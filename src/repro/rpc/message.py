@@ -6,6 +6,7 @@ procedure, then the credential and verifier auth areas.
 """
 
 import enum
+import struct
 from dataclasses import dataclass
 
 from repro.errors import RpcDeniedError, RpcProtocolError
@@ -117,6 +118,15 @@ def encode_accepted_reply(xdrs, xid, stat, verf=NULL_AUTH, mismatch=None):
         low, high = mismatch
         xdr_u_long(xdrs, low)
         xdr_u_long(xdrs, high)
+
+
+def accepted_reply_tail(stat=AcceptStat.SUCCESS):
+    """The bytes of a null-verifier accepted-reply header after the
+    xid — constant for a given ``stat``, so residual routes prepend the
+    xid instead of encoding the header (and reply checks compare
+    ``reply[4:24]`` against it)."""
+    return struct.pack(">5I", MsgType.REPLY, ReplyStat.MSG_ACCEPTED,
+                       NULL_AUTH.flavor, 0, stat)
 
 
 def encode_denied_reply(xdrs, xid, stat, detail):

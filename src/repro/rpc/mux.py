@@ -23,10 +23,10 @@ many in-flight xids over *one* socket:
   RPC server).  ``batch_window_s`` optionally holds the first queued
   call back a moment to gather a fuller batch.
 
-* The **fast path** composes: requests are built from the pre-serialized
-  header templates with in-place xid patching, and replies are matched
-  against the accepted-SUCCESS template with one slice compare
-  (:meth:`~repro.rpc.client.RpcClient.parse_reply`).
+* **Codecs** compose: requests and replies go through the same
+  :meth:`~repro.rpc.client.RpcClient.build_call` /
+  :meth:`~repro.rpc.client.RpcClient.parse_reply` as the serial
+  clients, whole-message residual codecs included.
 
 * The **DRC claim protocol** is preserved: every call gets a unique
   xid from the client's counter, retransmissions re-send the same
@@ -386,9 +386,7 @@ class _MuxEngine:
             self._sendq.append(call)
             inflight = len(self._pending)
         if _obs.enabled:
-            tier = ("specialized" if proc in self._codecs
-                    else "fastpath" if self.fastpath_enabled
-                    else "generic")
+            tier = "specialized" if proc in self._codecs else "generic"
             _obs.registry.counter("rpc.client.calls",
                                   transport=self._transport,
                                   tier=tier).inc()
@@ -484,9 +482,7 @@ class _MuxEngine:
                     call._done = True
             inflight = len(self._pending)
         if _obs.enabled and submitted:
-            tier = ("specialized" if proc in self._codecs
-                    else "fastpath" if self.fastpath_enabled
-                    else "generic")
+            tier = "specialized" if proc in self._codecs else "generic"
             _obs.registry.counter("rpc.client.calls",
                                   transport=self._transport,
                                   tier=tier).inc(submitted)

@@ -5,16 +5,20 @@ with their XDR filters, and turns a raw call message into a raw reply
 message, covering every accept/deny path of RFC 1057 (PROG_UNAVAIL,
 PROG_MISMATCH, PROC_UNAVAIL, GARBAGE_ARGS, SYSTEM_ERR, RPC_MISMATCH).
 
-Like the client, marshaling is pluggable per procedure so the
-Tempo-specialized server stubs can replace the generic micro-layers.
+Specialized code enters dispatch through one table of :class:`Route`
+entries — residual answers keyed by a call's header signature and
+size.  The staged, offline-specialized and online-specialized servers
+all produce routes; every dispatch policy (doomed-work drops, the
+duplicate-request cache, drain, quota, handler counts, telemetry) runs
+once, here, for routed and generic requests alike.
 
 Telemetry (``repro.obs``): when observability is enabled, each
-dispatch emits a ``server.dispatch`` span with ``server.drc_lookup``
-/ ``server.decode_args`` / ``server.handler`` /
-``server.encode_reply`` children, every outcome increments the
-``rpc.server.replies{outcome=...}`` counter, and the fast-path header
-recognizer reports hit/fallback counts.  The disabled path is the
-original dispatcher behind one ``if obs.enabled`` test.
+dispatch emits a ``server.dispatch`` span (``tier`` names the route
+that answered, or ``generic``) with ``server.drc_lookup`` /
+``server.decode_args`` / ``server.handler`` / ``server.encode_reply``
+children, and every outcome increments the
+``rpc.server.replies{outcome=...}`` counter.  Observing never changes
+which code runs.
 """
 
 import logging
@@ -26,11 +30,11 @@ from repro import obs as _obs
 from repro.errors import RpcProtocolError, XdrError
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.drc import DuplicateRequestCache
-from repro.rpc.fastpath import BufferPool, ReplyHeaderTemplate
+from repro.rpc.durable import attach_journal
 from repro.rpc.message import (
     AcceptStat,
-    CallHeader,
     RejectStat,
+    accepted_reply_tail,
     decode_call_header,
     encode_accepted_reply,
     encode_denied_reply,
@@ -52,19 +56,56 @@ logger = logging.getLogger(__name__)
 NULLPROC = 0
 
 #: the static words of a v2 call header (msg_type CALL=0, rpcvers=2)
-#: and the 16 zero bytes of two NULL auth areas — the common header
-#: shape the fast path recognizes with slice compares instead of the
-#: micro-layer decode.
+#: and the 16 zero bytes of two NULL auth areas: a routable call is
+#: recognized with slice compares instead of the micro-layer decode.
 _CALL_V2 = struct.pack(">II", 0, 2)
 _NULL_AUTHS = bytes(16)
-_FAST_HEADER_SIZE = 10 * 4
+#: bytes in a call header with two NULL auth areas.
+_HEADER_SIZE = 10 * 4
+#: the accepted-reply header after the xid, for SUCCESS and SYSTEM_ERR.
+_SUCCESS_TAIL = accepted_reply_tail(AcceptStat.SUCCESS)
+_SYSTEM_ERR_TAIL = accepted_reply_tail(AcceptStat.SYSTEM_ERR)
 
-#: sentinel a staged route returns to hand the request to the generic
-#: dispatcher (drain mode, undecodable arguments, ...).
-_TO_GENERIC = object()
 
 def _count_reply(outcome):
     _obs.registry.counter("rpc.server.replies", outcome=outcome).inc()
+
+
+def signature(prog, vers, proc):
+    """The 20 header bytes after the xid that identify a null-auth v2
+    call to (prog, vers, proc): msg_type, rpcvers, prog, vers, proc."""
+    return struct.pack(">5I", 0, 2, prog, vers, proc)
+
+
+class Route:
+    """Residual answers for one procedure's null-auth calls.
+
+    The registry finds a route by the call's header :func:`signature`,
+    then a residual by the exact request size: ``replies`` maps a size
+    to ``reply(data) -> bytes | None``, and the key None matches any
+    size.  A residual must not raise; it returns None to decline, and
+    the generic path then answers the same request under the same DRC
+    claim.  Routes carry no policy — doomed drops, the DRC, drain,
+    quota, handler counts and telemetry run once, in
+    :meth:`SvcRegistry.dispatch_bytes`.
+
+    ``replies`` is replaced whole, never mutated, so a concurrent
+    dispatcher sees the old or the new map.
+    """
+
+    def __init__(self, prog, vers, proc, replies, tier):
+        self.prog = prog
+        self.vers = vers
+        self.proc = proc
+        self.replies = dict(replies)
+        #: the ``tier`` span field / metric label of routed answers
+        self.tier = tier
+        #: requests a residual answered
+        self.hits = 0
+
+    def miss(self, nbytes):
+        """Called for each signature-matching request no residual
+        answered (no entry for its size, or the residual declined)."""
 
 
 @dataclass
@@ -74,39 +115,27 @@ class Procedure:
     handler: object
     xdr_args: object
     xdr_res: object
-    #: optional specialized (decode_args_fn, encode_res_fn)
-    decode_args: object = None
-    encode_res: object = None
 
 
 class SvcRegistry:
     """Dispatch table for any number of programs/versions."""
 
-    def __init__(self, bufsize=8800, fastpath=False, drc=False):
+    def __init__(self, bufsize=8800, drc=False):
         #: (prog, vers) -> {proc: Procedure}
         self._programs = {}
         self.bufsize = bufsize
-        #: fast-path state: pre-built SUCCESS reply header + reply
-        #: buffer pool (see :mod:`repro.rpc.fastpath`).
-        self._reply_template = None
-        self._out_pool = None
-        #: staged residual routes (see :meth:`stage_route`): constant
-        #: header signature -> fused decode/handler/encode closure.
-        self._staged_routes = None
-        #: online-specialized routes (see
-        #: :mod:`repro.specialized.online`): constant header signature
-        #: -> :class:`~repro.specialized.online.OnlineServerRoute`.
-        #: Swapped copy-on-write so concurrent dispatchers see either
-        #: the old or the new table, never a mid-mutation one.
-        self._online_routes = None
+        #: header signature -> :class:`Route`; swapped copy-on-write so
+        #: concurrent dispatchers see the old or the new table.
+        self._routes = None
         #: optional :class:`~repro.specialized.online.DispatchProfiler`
         #: sampling (prog, vers, proc) call counts and message sizes.
         self.profiler = None
         #: duplicate-request reply cache (see :mod:`repro.rpc.drc`);
         #: active only for dispatches that identify their caller.
         self.drc = None
-        #: handler executions (DRC replays do not count) — lets tests
-        #: assert "invocations == unique requests" under retransmission.
+        #: handler executions, routed residuals included (DRC replays
+        #: do not count) — lets tests assert "invocations == unique
+        #: requests" under retransmission.
         self.handlers_invoked = 0
         #: optional per-caller token-bucket admission (see
         #: :meth:`install_quota`); DRC replays and drain-exempt
@@ -126,28 +155,8 @@ class SvcRegistry:
         #: non-RpcError exceptions the defensive decode converted into
         #: drops instead of letting them crash dispatch.
         self.decode_defended = 0
-        if fastpath:
-            self.enable_fastpath()
         if drc:
             self.enable_drc()
-
-    def enable_fastpath(self, pool_limit=4):
-        """Pre-build the SUCCESS reply header and pool reply buffers.
-
-        The dispatcher then answers the hot path (accepted, SUCCESS,
-        null verifier) by copying the template and patching the xid
-        instead of re-encoding six XDR units per reply, and reuses its
-        scratch reply buffers instead of allocating ``bytearray
-        (bufsize)`` per call.
-        """
-        self._reply_template = ReplyHeaderTemplate()
-        self._out_pool = BufferPool(self.bufsize, limit=pool_limit,
-                                    prefill=1)
-        return self
-
-    @property
-    def fastpath_enabled(self):
-        return self._reply_template is not None
 
     def enable_drc(self, capacity=256):
         """Turn on the duplicate-request reply cache.
@@ -243,27 +252,22 @@ class SvcRegistry:
         Shed replies are *never* recorded in the DRC — a retransmission
         after load subsides must reach the handler.
         """
-        if len(data) < _FAST_HEADER_SIZE or bytes(data[4:12]) != _CALL_V2:
+        if len(data) < _HEADER_SIZE or bytes(data[4:12]) != _CALL_V2:
             return None
-        xid = int.from_bytes(data[0:4], "big")
-        out = XdrMemStream(bytearray(64), XdrOp.ENCODE)
-        encode_accepted_reply(out, xid, AcceptStat.SYSTEM_ERR, NULL_AUTH)
         self.sheds += 1
         if _obs.enabled:
             _obs.registry.counter("rpc.server.sheds", reason=reason).inc()
             _count_reply("shed")
-        return out.data()
+        return bytes(data[0:4]) + _SYSTEM_ERR_TAIL
 
-    def _shed(self, out, header, reason, span):
+    def _shed(self, xid, reason, span):
         """Answer one dispatched request with a shed reply (SYSTEM_ERR);
         not recorded in the DRC."""
-        encode_accepted_reply(out, header.xid, AcceptStat.SYSTEM_ERR,
-                              NULL_AUTH)
         self.sheds += 1
         if _obs.enabled:
             _obs.registry.counter("rpc.server.sheds", reason=reason).inc()
-        self._verdict(span, header, "shed")
-        return out.data()
+        self._verdict(span, "shed")
+        return xid.to_bytes(4, "big") + _SYSTEM_ERR_TAIL
 
     def register(self, prog, vers, proc, handler, xdr_args=None,
                  xdr_res=None):
@@ -271,160 +275,93 @@ class SvcRegistry:
         table = self._programs.setdefault((prog, vers), {})
         table[proc] = Procedure(handler, xdr_args, xdr_res)
 
-    def install_marshaler(self, prog, vers, proc, decode_args=None,
-                          encode_res=None):
-        """Plug specialized marshalers into a registered procedure."""
-        entry = self._programs[(prog, vers)][proc]
-        entry.decode_args = decode_args
-        entry.encode_res = encode_res
+    # -- routes -------------------------------------------------------------
+
+    def install_route(self, route):
+        """Atomically publish ``route`` (replacing any route for the
+        same procedure); returns it."""
+        routes = dict(self._routes or {})
+        routes[signature(route.prog, route.vers, route.proc)] = route
+        self._routes = routes
+        return route
+
+    def remove_route(self, prog, vers, proc):
+        """Hand (prog, vers, proc) back to the generic dispatcher;
+        returns the removed route, or None."""
+        routes = dict(self._routes or {})
+        removed = routes.pop(signature(prog, vers, proc), None)
+        self._routes = routes or None
+        return removed
+
+    def route_for(self, prog, vers, proc):
+        """The installed :class:`Route` for (prog, vers, proc), or None."""
+        return (self._routes or {}).get(signature(prog, vers, proc))
 
     def stage_route(self, prog, vers, proc, unpack_args=None,
                     pack_res=None):
-        """Stage one procedure's *entire* dispatch into a residual route.
+        """Stage one registered procedure's decode, handler and encode
+        into a residual :class:`Route` (tier ``staged``) and install it.
 
-        The server-side dual of ``RpcClient.install_codec``: for the
-        registered procedure, the call header is recognized with one
-        slice compare against its constant signature words, the
-        arguments are unmarshaled straight off the datagram, the
-        handler runs, and the reply is assembled as ``xid + constant
-        accepted-SUCCESS header + results`` — no header decode, no XDR
-        streams, no buffer pool.  This is the dispatch specialization
-        of the paper applied to the live stack: everything that is
-        invariant for a (prog, vers, proc) binding is computed here,
-        once, and the residual per-call work is a dict probe and the
-        handler.
+        The server-side dual of ``RpcClient.install_codec``: for a
+        null-auth call the arguments are unmarshaled straight off the
+        datagram, the handler runs, and the reply is assembled as
+        ``xid + constant accepted-SUCCESS header + results`` — no
+        header decode, no reply stream.  This is the dispatch
+        specialization of the paper applied to the live stack.
 
         ``unpack_args(data, offset) -> args`` and
         ``pack_res(result) -> bytes`` are the residual body marshalers
         (e.g. one ``struct`` call each); either may be omitted to fall
         back to the procedure's registered XDR filters run over a
-        stream, which still skips the header layers.
-
-        Semantics are preserved exactly: the DRC claim protocol (get →
-        claim → execute → put) runs inside the route with the same
-        cache keys as the generic dispatcher, handler failures answer
-        (and record) ``SYSTEM_ERR``, and anything off the fast shape —
-        drain mode, undecodable arguments, a non-NULL auth area —
-        falls through to the generic dispatcher, whose replies are
-        byte-identical.  With observability enabled, dispatch takes
-        the fully-instrumented generic path instead, so staged routes
-        never hide spans or counters.
+        stream.  Undecodable arguments decline (the generic path
+        answers GARBAGE_ARGS); a handler failure answers SYSTEM_ERR.
         """
         procedure = self._programs[(prog, vers)][proc]
-        signature = struct.pack(">5I", 0, 2, prog, vers, proc)
-        ok_tail = ReplyHeaderTemplate(stat=AcceptStat.SUCCESS).prefix[4:]
-        err_tail = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
         handler = procedure.handler
         if unpack_args is None:
-            decode_args = procedure.decode_args
             xdr_args = procedure.xdr_args
 
             def unpack_args(data, offset):
-                stream = XdrMemStream(data, XdrOp.DECODE, offset=offset)
-                if decode_args is not None:
-                    return decode_args(stream)
-                if xdr_args is not None:
-                    return xdr_args(stream, None)
-                return None
+                if xdr_args is None:
+                    return None
+                return xdr_args(XdrMemStream(data, XdrOp.DECODE,
+                                             offset=offset), None)
         if pack_res is None:
-            encode_res = procedure.encode_res
             xdr_res = procedure.xdr_res
             bufsize = self.bufsize
 
             def pack_res(result):
                 stream = XdrMemStream(bytearray(bufsize), XdrOp.ENCODE)
-                if encode_res is not None:
-                    encode_res(stream, result)
-                elif xdr_res is not None:
+                if xdr_res is not None:
                     xdr_res(stream, result)
                 return stream.data()
-        registry = self
 
-        def route(data, caller):
-            if registry.draining:
-                return _TO_GENERIC
-            xid_bytes = bytes(data[0:4])
-            drc = registry.drc
-            drc_key = None
-            if drc is not None and caller is not None:
-                drc_key = (int.from_bytes(xid_bytes, "big"), caller,
-                           prog, vers, proc)
-                verdict = drc.begin(drc_key)
-                if verdict is False:
-                    return None  # original still executing: drop
-                if verdict is not True:
-                    return verdict  # replay the recorded reply
-            if registry._over_quota(caller, prog, vers):
-                # Shed, releasing the claim: the shed reply is never
-                # cached, so the caller's post-refill retry executes.
-                if drc_key is not None:
-                    drc.abandon(drc_key)
-                registry.sheds += 1
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.sheds",
-                                          reason="quota").inc()
-                return xid_bytes + err_tail
+        def reply(data):
             try:
-                args = unpack_args(data, _FAST_HEADER_SIZE)
-            # repro: disable=overbroad-except -- hostile bytes may raise anything; route to generic GARBAGE_ARGS
+                args = unpack_args(data, _HEADER_SIZE)
+            # repro: disable=overbroad-except -- hostile bytes may raise anything; the generic path answers GARBAGE_ARGS
             except Exception:
-                # Generic path answers GARBAGE_ARGS; release the claim
-                # so its own get/claim protocol owns the key.
-                if drc_key is not None:
-                    drc.abandon(drc_key)
-                return _TO_GENERIC
+                return None
+            xid_bytes = bytes(data[0:4])
             try:
-                registry.handlers_invoked += 1
-                reply = xid_bytes + ok_tail + pack_res(handler(args))
+                return xid_bytes + _SUCCESS_TAIL + pack_res(handler(args))
             # repro: disable=overbroad-except -- any servant crash must become a SYSTEM_ERR reply, not kill dispatch
             except Exception:
                 logger.exception(
                     "staged route for prog=%d proc=%d failed", prog, proc
                 )
-                reply = xid_bytes + err_tail
-            if drc_key is not None:
-                drc.put(drc_key, reply)
-            return reply
+                return xid_bytes + _SYSTEM_ERR_TAIL
 
-        if self._staged_routes is None:
-            self._staged_routes = {}
-        self._staged_routes[signature] = route
-        return self
-
-    # -- online specialization plug points --------------------------------
+        return self.install_route(
+            Route(prog, vers, proc, {None: reply}, tier="staged"))
 
     def install_profiler(self, profiler):
         """Tap dispatch with a traffic profiler (``profiler.record(data,
-        reply)`` after every generically-answered request).  Installed
+        reply)`` after every request no route answered).  Installed
         by :meth:`repro.specialized.online.OnlineSpecializer.attach_server`.
         """
         self.profiler = profiler
         return self
-
-    def install_online_route(self, prog, vers, proc, route):
-        """Atomically hot-swap an online-specialized route into dispatch.
-
-        ``route(data, caller)`` answers requests matching the constant
-        header signature for (prog, vers, proc); it may return the
-        ``_TO_GENERIC`` sentinel to hand a request back (invariant
-        violation, drain).  Unlike staged routes, online routes stay
-        active with observability enabled — they carry their own
-        counters/spans, so the obs contract still holds.
-        """
-        signature = struct.pack(">5I", 0, 2, prog, vers, proc)
-        routes = dict(self._online_routes or {})
-        routes[signature] = route
-        self._online_routes = routes
-        return self
-
-    def remove_online_route(self, prog, vers, proc):
-        """Demote (prog, vers, proc) back to the generic dispatcher;
-        returns the removed route, or None."""
-        signature = struct.pack(">5I", 0, 2, prog, vers, proc)
-        routes = dict(self._online_routes or {})
-        removed = routes.pop(signature, None)
-        self._online_routes = routes or None
-        return removed
 
     def versions_of(self, prog):
         return sorted(vers for p, vers in self._programs if p == prog)
@@ -433,8 +370,9 @@ class SvcRegistry:
 
     def dispatch_bytes(self, data, caller=None, received_at=None):
         """Process one call message; returns the reply message bytes, or
-        None when the request is unparseable garbage (dropped, like the
-        C svc code drops undecodable datagrams).
+        None when the request is dropped (unparseable garbage, like the
+        C svc code; a duplicate of a request still executing; doomed
+        work).
 
         ``data`` may be ``bytes``, ``bytearray``, or a ``memoryview``
         over the transport's receive buffer — it is decoded in place,
@@ -451,61 +389,14 @@ class SvcRegistry:
         request whose budget expired while it sat in the worker queue
         is dropped instead of executed.
         """
-        online = self._online_routes
-        if (online is not None and len(data) >= _FAST_HEADER_SIZE
-                and data[24:40] == _NULL_AUTHS):
-            route = online.get(bytes(data[4:24]))
-            if route is not None:
-                reply = route(data, caller)
-                if reply is not _TO_GENERIC:
-                    return reply
-        profiler = self.profiler
-        if profiler is not None:
-            reply = self._dispatch_generic(data, caller, received_at)
-            profiler.record(data, reply)
-            return reply
-        return self._dispatch_generic(data, caller, received_at)
-
-    def _dispatch_generic(self, data, caller=None, received_at=None):
-        """Dispatch below the online-route/profiler layer."""
-        if _obs.enabled:
-            return self._dispatch_observed(data, caller, received_at)
-        routes = self._staged_routes
-        if (routes is not None and len(data) >= _FAST_HEADER_SIZE
-                and data[24:40] == _NULL_AUTHS):
-            route = routes.get(bytes(data[4:24]))
-            if route is not None:
-                reply = route(data, caller)
-                if reply is not _TO_GENERIC:
-                    return reply
-        if self._out_pool is not None:
-            reply = self._out_pool.acquire()
-            try:
-                return self._dispatch_into(data, reply, caller,
-                                           received_at=received_at)
-            finally:
-                self._out_pool.release(reply)
-        return self._dispatch_into(data, bytearray(self.bufsize), caller,
-                                   received_at=received_at)
-
-    def _dispatch_observed(self, data, caller, received_at=None):
-        """:meth:`dispatch_bytes` with metrics + an optional span."""
+        if not _obs.enabled:
+            return self._dispatch(data, caller, received_at, None)
         _obs.registry.counter("rpc.server.requests").inc()
         started = time.monotonic()
         span = _obs.span("server.dispatch", side="server", bytes=len(data),
                          caller=str(caller) if caller is not None else None)
         try:
-            if self._out_pool is not None:
-                reply = self._out_pool.acquire()
-                try:
-                    result = self._dispatch_into(data, reply, caller, span,
-                                                 received_at)
-                finally:
-                    self._out_pool.release(reply)
-            else:
-                result = self._dispatch_into(
-                    data, bytearray(self.bufsize), caller, span, received_at
-                )
+            reply = self._dispatch(data, caller, received_at, span)
         except BaseException as exc:
             if span is not None:
                 span.end(outcome="error", error=type(exc).__name__)
@@ -514,180 +405,211 @@ class SvcRegistry:
             _obs.registry.histogram("rpc.server.dispatch_latency_s").observe(
                 time.monotonic() - started
             )
-        if result is None:
-            if _obs.enabled:
-                _count_reply("dropped")
+        if reply is None:
+            _count_reply("dropped")
             if span is not None:
                 span.end(outcome="dropped")
         elif span is not None:
-            span.end(reply_bytes=len(result))
-        return result
-
-    def _fast_parse_header(self, data):
-        """A :class:`CallHeader` for the common shape — RPC v2 with two
-        NULL auth areas — without the field-by-field decode; None sends
-        the request to the generic decoder (which also owns every
-        malformed/mismatch path, so those replies stay byte-identical).
-        """
-        if (len(data) < _FAST_HEADER_SIZE
-                or data[4:12] != _CALL_V2
-                or data[24:40] != _NULL_AUTHS):
-            return None
-        xid, _, _, prog, vers, proc = struct.unpack_from(">6I", data, 0)
-        return CallHeader(xid, prog, vers, proc, NULL_AUTH, NULL_AUTH)
-
-    def _dispatch_into(self, data, reply, caller=None, span=None,
-                       received_at=None):
-        if self._reply_template is not None:
-            header = self._fast_parse_header(data)
-            if header is not None:
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.fastpath_header_hits").inc()
-                if span is not None:
-                    span.add(tier="fastpath")
-                stream = XdrMemStream(data, XdrOp.DECODE,
-                                      offset=_FAST_HEADER_SIZE)
-                out = XdrMemStream(reply, XdrOp.ENCODE)
-                return self._dispatch_call(header, stream, out, caller,
-                                           span, received_at)
-            if _obs.enabled:
-                _obs.registry.counter("rpc.server.fastpath_fallbacks").inc()
-        if span is not None:
-            span.add(tier="generic")
-        stream = XdrMemStream(data, XdrOp.DECODE)
-        out = XdrMemStream(reply, XdrOp.ENCODE)
-        try:
-            header = decode_call_header(stream)
-        except RpcProtocolError as exc:
-            if "bad RPC version" in str(exc):
-                # We can still answer an RPC_MISMATCH if the xid parsed.
-                try:
-                    xid = int.from_bytes(data[0:4], "big")
-                except (TypeError, ValueError):
-                    return None
-                encode_denied_reply(out, xid, RejectStat.RPC_MISMATCH, (2, 2))
-                if _obs.enabled:
-                    _count_reply("rpc_mismatch")
-                if span is not None:
-                    span.add(xid=xid, outcome="rpc_mismatch")
-                return out.data()
-            logger.debug("dropping undecodable call: %s", exc)
-            return None
-        except XdrError as exc:
-            logger.debug("dropping truncated call: %s", exc)
-            return None
-        # repro: disable=overbroad-except -- defensive decode: arbitrary bytes must never crash dispatch
-        except Exception as exc:
-            # Defensive decode: arbitrary bytes must never crash
-            # dispatch.  Anything the grammar-level decoders did not
-            # already map to a typed error (struct.error, ValueError,
-            # IndexError, ...) is counted and dropped like undecodable
-            # garbage.
-            self.decode_defended += 1
-            if _obs.enabled:
-                _obs.registry.counter("rpc.server.decode_defended").inc()
-            logger.debug("defended undecodable call: %r", exc)
-            return None
-        return self._dispatch_call(header, stream, out, caller, span,
-                                   received_at)
-
-    def _record_reply(self, drc_key, reply):
-        """Cache a handler-produced reply for retransmission replay.
-
-        ``reply`` is already immutable ``bytes`` (``XdrMemStream.data``
-        copies out of the pooled buffer), so the cache never aliases
-        pool-owned memory.
-        """
-        if drc_key is not None:
-            self.drc.put(drc_key, reply)
+            span.end(reply_bytes=len(reply))
         return reply
 
-    def _verdict(self, span, header, outcome):
+    def _dispatch(self, data, caller, received_at, span):
+        route = None
+        routes = self._routes
+        if (routes is not None and len(data) >= _HEADER_SIZE
+                and data[24:40] == _NULL_AUTHS):
+            route = routes.get(bytes(data[4:24]))
+        if route is not None:
+            # A null-auth call of a routed procedure: the header is
+            # known from the signature, and it carries no deadline.
+            xid = int.from_bytes(data[0:4], "big")
+            prog, vers, proc = route.prog, route.vers, route.proc
+            stream = None
+            if span is not None:
+                span.add(tier=route.tier, xid=xid, prog=prog, vers=vers,
+                         proc=proc)
+        else:
+            if span is not None:
+                span.add(tier="generic")
+            stream = XdrMemStream(data, XdrOp.DECODE)
+            try:
+                header = decode_call_header(stream)
+            # repro: disable=overbroad-except -- defensive decode: arbitrary bytes must never crash dispatch
+            except Exception as exc:
+                return self._undecodable(data, exc, span)
+            xid, prog, vers, proc = (header.xid, header.prog, header.vers,
+                                     header.proc)
+            if span is not None:
+                span.add(xid=xid, prog=prog, vers=vers, proc=proc)
+            if self._doomed(header.cred, received_at, span):
+                return None
+        drc = self.drc
+        drc_key = None
+        if drc is not None and caller is not None:
+            # the DuplicateRequestCache.key layout, built inline
+            drc_key = (xid, caller, prog, vers, proc)
+            drc_span = (span.child("server.drc_lookup")
+                        if span is not None else None)
+            verdict = drc.begin(drc_key)
+            if drc_span is not None:
+                drc_span.end(hit=verdict is not True and verdict is not False)
+            if verdict is False:
+                # The original is executing right now: drop — the
+                # client's next retransmit replays the cached reply.
+                return None
+            if verdict is not True:
+                self._verdict(span, "drc_replay")
+                return verdict
+        try:
+            reply, executed = self._answer(data, stream, route, xid, prog,
+                                           vers, proc, caller, span)
+        except BaseException:
+            # Only non-Exception escapes reach here; release the claim
+            # so a retransmission is not blocked forever.
+            if drc_key is not None:
+                drc.abandon(drc_key)
+            raise
+        if drc_key is not None:
+            if executed:
+                drc.put(drc_key, reply)
+            else:
+                # Sheds and protocol errors are never cached: a retry
+                # after load subsides must reach the handler.
+                drc.abandon(drc_key)
+        if self.profiler is not None and executed is not route:
+            self.profiler.record(data, reply)
+        return reply
+
+    def _undecodable(self, data, exc, span):
+        """The reply to a call whose header does not decode: RPC_MISMATCH
+        when only the version is wrong, else None (dropped)."""
+        if isinstance(exc, RpcProtocolError):
+            if "bad RPC version" not in str(exc):
+                logger.debug("dropping undecodable call: %s", exc)
+                return None
+            # We can still answer an RPC_MISMATCH if the xid parsed.
+            try:
+                xid = int.from_bytes(data[0:4], "big")
+            except (TypeError, ValueError):
+                return None
+            out = XdrMemStream(bytearray(64), XdrOp.ENCODE)
+            encode_denied_reply(out, xid, RejectStat.RPC_MISMATCH, (2, 2))
+            if _obs.enabled:
+                _count_reply("rpc_mismatch")
+            if span is not None:
+                span.add(xid=xid, outcome="rpc_mismatch")
+            return out.data()
+        if isinstance(exc, XdrError):
+            logger.debug("dropping truncated call: %s", exc)
+            return None
+        # Anything the grammar-level decoders did not already map to a
+        # typed error (struct.error, ValueError, IndexError, ...) is
+        # counted and dropped like undecodable garbage.
+        self.decode_defended += 1
+        if _obs.enabled:
+            _obs.registry.counter("rpc.server.decode_defended").inc()
+        logger.debug("defended undecodable call: %r", exc)
+        return None
+
+    def _doomed(self, cred, received_at, span):
+        """Deadline propagation: the cred carries the budget that
+        remained when the client *built* this message.  Anchored at the
+        transport's receive instant, an expired budget means the caller
+        has already timed out — doomed work is dropped (not answered:
+        there is nobody left to read the reply), before the DRC spends
+        a probe on it."""
+        remaining = remaining_from_cred(cred)
+        if remaining is None:
+            return False
+        now = time.monotonic()
+        arrived = received_at if received_at is not None else now
+        if arrived + remaining > now:
+            return False
+        self.doomed_dropped += 1
+        if _obs.enabled:
+            _obs.registry.counter("rpc.deadline.doomed").inc()
+        if span is not None:
+            span.add(outcome="doomed")
+        return True
+
+    def _verdict(self, span, outcome):
         """Record a dispatch outcome on the span + outcome counter."""
         if _obs.enabled:
             _count_reply(outcome)
         if span is not None:
-            span.add(xid=header.xid, prog=header.prog, vers=header.vers,
-                     proc=header.proc, outcome=outcome)
+            span.add(outcome=outcome)
 
-    def _dispatch_call(self, header, stream, out, caller=None, span=None,
-                       received_at=None):
-        remaining = remaining_from_cred(header.cred)
-        if remaining is not None:
-            # Deadline propagation: the cred carries the budget that
-            # remained when the client *built* this message.  Anchored
-            # at the transport's receive instant, an expired budget
-            # means the caller has already timed out — doomed work is
-            # dropped (not answered: there is nobody left to read the
-            # reply), before the DRC spends a probe on it.
-            now = time.monotonic()
-            arrived = received_at if received_at is not None else now
-            if arrived + remaining <= now:
-                self.doomed_dropped += 1
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.deadline.doomed").inc()
-                if span is not None:
-                    span.add(xid=header.xid, outcome="doomed")
-                return None
-        drc_key = None
-        if self.drc is not None and caller is not None:
-            drc_key = DuplicateRequestCache.key(
-                header.xid, caller, header.prog, header.vers, header.proc
-            )
-            drc_span = (span.child("server.drc_lookup")
-                        if span is not None else None)
-            cached = self.drc.get(drc_key)
-            if drc_span is not None:
-                drc_span.end(hit=cached is not None)
-            if cached is not None:
-                self._verdict(span, header, "drc_replay")
-                return cached
-        if self.draining and (header.prog, header.vers) not in \
-                self._drain_exempt:
-            # Draining: replays (above) and health (exempt) still
-            # answer; new work is refused with a typed error reply.
-            return self._shed(out, header, "draining", span)
-        if self._over_quota(caller, header.prog, header.vers):
+    def _answer(self, data, stream, route, xid, prog, vers, proc, caller,
+                span):
+        """Drain, quota, then the route's residual or the generic
+        procedure.  Returns ``(reply, executed)``: ``executed`` is
+        false for replies the DRC must not record, and is the route
+        itself when its residual answered."""
+        if self.draining and (prog, vers) not in self._drain_exempt:
+            # Draining: replays and health (exempt) still answer; new
+            # work is refused with a typed error reply.
+            return self._shed(xid, "draining", span), False
+        if self._over_quota(caller, prog, vers):
             # Over the caller's token budget: answered (never cached),
             # so a retry after the bucket refills reaches the handler.
-            return self._shed(out, header, "quota", span)
-        key = (header.prog, header.vers)
-        if key not in self._programs:
-            versions = self.versions_of(header.prog)
+            return self._shed(xid, "quota", span), False
+        if route is not None:
+            replies = route.replies
+            residual = replies.get(len(data))
+            if residual is None:
+                residual = replies.get(None)
+            if residual is not None:
+                handler_span = (span.child("server.handler")
+                                if span is not None else None)
+                reply = residual(data)
+                if handler_span is not None:
+                    handler_span.end(residual=reply is not None)
+                if reply is not None:
+                    self.handlers_invoked += 1
+                    route.hits += 1
+                    if _obs.enabled:
+                        _obs.registry.counter("rpc.server.route_hits",
+                                              tier=route.tier).inc()
+                        self._verdict(span, "success")
+                    return reply, route
+            route.miss(len(data))
+            if _obs.enabled:
+                _obs.registry.counter("rpc.server.route_misses",
+                                      tier=route.tier).inc()
+            if span is not None:
+                span.add(tier="generic")
+            stream = XdrMemStream(data, XdrOp.DECODE, offset=_HEADER_SIZE)
+        out = XdrMemStream(bytearray(self.bufsize), XdrOp.ENCODE)
+        table = self._programs.get((prog, vers))
+        if table is None:
+            versions = self.versions_of(prog)
             if versions:
                 encode_accepted_reply(
-                    out, header.xid, AcceptStat.PROG_MISMATCH, NULL_AUTH,
+                    out, xid, AcceptStat.PROG_MISMATCH, NULL_AUTH,
                     mismatch=(versions[0], versions[-1]),
                 )
-                self._verdict(span, header, "prog_mismatch")
+                self._verdict(span, "prog_mismatch")
             else:
-                encode_accepted_reply(
-                    out, header.xid, AcceptStat.PROG_UNAVAIL, NULL_AUTH
-                )
-                self._verdict(span, header, "prog_unavail")
-            return out.data()
-        table = self._programs[key]
-        if header.proc == NULLPROC and NULLPROC not in table:
-            encode_accepted_reply(out, header.xid, AcceptStat.SUCCESS,
-                                  NULL_AUTH)
-            self._verdict(span, header, "success")
-            return out.data()
-        if header.proc not in table:
-            encode_accepted_reply(out, header.xid, AcceptStat.PROC_UNAVAIL,
-                                  NULL_AUTH)
-            self._verdict(span, header, "proc_unavail")
-            return out.data()
-        proc = table[header.proc]
+                encode_accepted_reply(out, xid, AcceptStat.PROG_UNAVAIL,
+                                      NULL_AUTH)
+                self._verdict(span, "prog_unavail")
+            return out.data(), False
+        procedure = table.get(proc)
+        if procedure is None:
+            if proc == NULLPROC:
+                encode_accepted_reply(out, xid, AcceptStat.SUCCESS,
+                                      NULL_AUTH)
+                self._verdict(span, "success")
+            else:
+                encode_accepted_reply(out, xid, AcceptStat.PROC_UNAVAIL,
+                                      NULL_AUTH)
+                self._verdict(span, "proc_unavail")
+            return out.data(), False
         decode_span = (span.child("server.decode_args")
                        if span is not None else None)
         try:
-            if proc.decode_args is not None:
-                args = proc.decode_args(stream)
-            elif proc.xdr_args is not None:
-                args = proc.xdr_args(stream, None)
-            else:
-                args = None
+            args = (procedure.xdr_args(stream, None)
+                    if procedure.xdr_args is not None else None)
         # repro: disable=overbroad-except -- fuzzed bytes raise beyond XdrError; all map to GARBAGE_ARGS
         except Exception as exc:
             # XdrError is the designed signal, but fuzzed bytes can
@@ -702,89 +624,82 @@ class SvcRegistry:
             if decode_span is not None:
                 decode_span.end(outcome="garbage_args")
             logger.debug("garbage args: %r", exc)
-            encode_accepted_reply(out, header.xid, AcceptStat.GARBAGE_ARGS,
+            encode_accepted_reply(out, xid, AcceptStat.GARBAGE_ARGS,
                                   NULL_AUTH)
-            self._verdict(span, header, "garbage_args")
-            return out.data()
+            self._verdict(span, "garbage_args")
+            return out.data(), False
         if decode_span is not None:
             decode_span.end()
-        if drc_key is not None:
-            # Claim the key atomically before executing: with a worker
-            # pool, the original and a retransmission of the same xid
-            # can both miss the lookup above and sit in the queue
-            # together; only the claim owner runs the handler.
-            claimed = self.drc.claim(drc_key)
-            if claimed is False:
-                # Another worker is executing this request right now;
-                # drop — the client's next retransmit replays the
-                # cached reply.
-                return None
-            if claimed is not True:
-                self._verdict(span, header, "drc_replay")
-                return claimed
-        try:
-            return self._run_handler(proc, args, header, out, drc_key, span)
-        except BaseException:
-            # Only non-Exception escapes reach here (the handler and
-            # encode paths below contain Exception); release the claim
-            # so a retransmission is not blocked forever.
-            if drc_key is not None:
-                self.drc.abandon(drc_key)
-            raise
+        return self._run_handler(procedure, args, xid, prog, proc, out,
+                                 span), True
 
-    def _run_handler(self, proc, args, header, out, drc_key, span):
+    def _run_handler(self, procedure, args, xid, prog, proc, out, span):
         handler_span = (span.child("server.handler")
                         if span is not None else None)
         try:
             self.handlers_invoked += 1
-            result = proc.handler(args)
+            result = procedure.handler(args)
         # repro: disable=overbroad-except -- any servant crash must become a SYSTEM_ERR reply, not kill dispatch
         except Exception:
             if handler_span is not None:
                 handler_span.end(outcome="error")
             logger.exception(
-                "handler for prog=%d proc=%d failed", header.prog, header.proc
+                "handler for prog=%d proc=%d failed", prog, proc
             )
             if _obs.enabled:
                 _obs.registry.counter("rpc.server.handler_errors").inc()
-            encode_accepted_reply(out, header.xid, AcceptStat.SYSTEM_ERR,
-                                  NULL_AUTH)
-            self._verdict(span, header, "system_err")
-            return self._record_reply(drc_key, out.data())
+            self._verdict(span, "system_err")
+            return xid.to_bytes(4, "big") + _SYSTEM_ERR_TAIL
         if handler_span is not None:
             handler_span.end()
         encode_span = (span.child("server.encode_reply")
                        if span is not None else None)
-        if self._reply_template is not None and out.pos == 0:
-            # Fast path: copy the pre-built SUCCESS header, patch xid.
-            out.setpos(self._reply_template.write_into(out.buffer,
-                                                       header.xid))
-        else:
-            encode_accepted_reply(out, header.xid, AcceptStat.SUCCESS,
-                                  NULL_AUTH)
+        encode_accepted_reply(out, xid, AcceptStat.SUCCESS, NULL_AUTH)
         outcome = "success"
         try:
-            if proc.encode_res is not None:
-                proc.encode_res(out, result)
-            elif proc.xdr_res is not None:
-                proc.xdr_res(out, result)
+            if procedure.xdr_res is not None:
+                procedure.xdr_res(out, result)
+            reply = out.data()
         # repro: disable=overbroad-except -- unmarshalable handler result must become SYSTEM_ERR, not kill the transport
         except Exception:
             # Result does not fit the reply buffer (XdrError) or the
             # handler returned something the filter cannot marshal:
             # answer SYSTEM_ERR rather than killing the transport.
             logger.exception(
-                "reply encoding failed for prog=%d proc=%d",
-                header.prog, header.proc,
+                "reply encoding failed for prog=%d proc=%d", prog, proc
             )
-            out = XdrMemStream(bytearray(self.bufsize), XdrOp.ENCODE)
-            encode_accepted_reply(out, header.xid, AcceptStat.SYSTEM_ERR,
-                                  NULL_AUTH)
+            reply = xid.to_bytes(4, "big") + _SYSTEM_ERR_TAIL
             outcome = "system_err"
         if encode_span is not None:
-            encode_span.end(bytes=out.pos)
-        self._verdict(span, header, outcome)
-        return self._record_reply(drc_key, out.data())
+            encode_span.end(bytes=len(reply))
+        self._verdict(span, outcome)
+        return reply
+
+
+def serve_registry(served, drc=True, drc_dir=None, drc_fsync=None,
+                   online_spec=None):
+    """The set-up every server transport shares; returns ``(registry,
+    journal)``.
+
+    ``served`` is the object the transport dispatches through: a
+    :class:`SvcRegistry`, or a specialization whose residual is a
+    route in one (its ``registry``).  Policy lives in that registry,
+    so this is where it is configured: ``drc=True`` turns its
+    duplicate-request cache on, ``drc_dir`` (or ``REPRO_DRC_DIR``)
+    attaches a journal that recovers the predecessor's replies and
+    records this incarnation's (see :mod:`repro.rpc.durable`), and
+    ``online_spec`` — an :class:`~repro.specialized.online
+    .OnlineSpecializer` whose lifetime belongs to the caller — starts
+    profiling it.
+    """
+    registry = getattr(served, "registry", served)
+    if drc and registry.drc is None:
+        registry.enable_drc()
+    journal = attach_journal(registry, drc_dir=drc_dir, fsync=drc_fsync)
+    if online_spec is not None:
+        online_spec.attach_server(registry)
+        online_spec.ensure_started()
+    return registry, journal
 
 
 def rpc_service(registry, prog, vers):

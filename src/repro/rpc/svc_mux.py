@@ -19,7 +19,7 @@ both with one :mod:`selectors` event loop per server:
   keys, not 1,000 stacks.
 
 Dispatch feeds the same machinery as the threaded tier — the
-registry's generic/fastpath/DRC paths, drain mode, and overload
+registry's routes, DRC, drain mode, and overload
 control.  ``workers=N`` hands decoded requests to the existing bounded
 :class:`~repro.rpc.resilience.WorkerPool` (replies are routed back to
 the loop thread for transmission); ``workers=0`` dispatches inline on
@@ -42,12 +42,12 @@ import time
 from repro import obs as _obs
 from repro.errors import FaultInjected, RpcProtocolError
 from repro.rpc.client import UDPMSGSIZE
-from repro.rpc.durable import attach_journal
 from repro.rpc.faults import FaultySocket
 from repro.rpc.mux import batch_overhead, mark_record, pack_batch, \
     unpack_batch
 from repro.rpc.record import RecordAssembler
 from repro.rpc.resilience import InflightLimiter, WorkerPool
+from repro.rpc.server import serve_registry
 
 __all__ = ["MuxTcpServer", "MuxUdpServer", "make_server"]
 
@@ -145,7 +145,7 @@ class MuxUdpServer(_EventLoopMixin):
     _transport = "udp"
 
     def __init__(self, registry, host="127.0.0.1", port=0,
-                 bufsize=UDPMSGSIZE, fastpath=False, drc=True,
+                 bufsize=UDPMSGSIZE, drc=True,
                  fault_plan=None, workers=0, queue_depth=64,
                  drc_dir=None, drc_fsync=None, online_spec=None,
                  queue_policy=None, queue_target_s=None,
@@ -162,21 +162,11 @@ class MuxUdpServer(_EventLoopMixin):
         self.requests_shed = 0
         self._counters_lock = threading.Lock()
         self._recv_buffer = bytearray(bufsize)
-        if fastpath and hasattr(registry, "enable_fastpath"):
-            registry.enable_fastpath()
-        if drc and hasattr(registry, "enable_drc"):
-            if getattr(registry, "drc", None) is None:
-                registry.enable_drc()
-        #: DRC persistence: recover, then journal (off unless
-        #: ``drc_dir`` / ``REPRO_DRC_DIR`` is set).
-        self.journal = attach_journal(registry, drc_dir=drc_dir,
-                                      fsync=drc_fsync)
-        #: profile-guided online specialization (caller-owned; see
-        #: :mod:`repro.specialized.online`).
-        if online_spec is not None and hasattr(registry,
-                                               "install_profiler"):
-            online_spec.attach_server(registry)
-            online_spec.ensure_started()
+        #: the registry holding dispatch policy (see
+        #: :func:`~repro.rpc.server.serve_registry`)
+        self.svc, self.journal = serve_registry(
+            registry, drc=drc, drc_dir=drc_dir, drc_fsync=drc_fsync,
+            online_spec=online_spec)
         self._inflight = InflightLimiter()
         self._pool = None
         #: worker-produced replies routed back to the loop for sending
@@ -193,10 +183,6 @@ class MuxUdpServer(_EventLoopMixin):
         self._init_loop()
         self._selector.register(self.sock, selectors.EVENT_READ,
                                 self._on_readable)
-
-    @property
-    def fastpath_enabled(self):
-        return True  # the loop always receives into its own buffer
 
     @property
     def inflight(self):
@@ -227,9 +213,7 @@ class MuxUdpServer(_EventLoopMixin):
             self._send(reply, addr)
 
     def _shed(self, data, addr, reason="queue_full"):
-        shed = None
-        if hasattr(self.registry, "shed_reply_bytes"):
-            shed = self.registry.shed_reply_bytes(data, reason=reason)
+        shed = self.svc.shed_reply_bytes(data, reason=reason)
         with self._counters_lock:
             self.requests_shed += 1
         return shed
@@ -350,8 +334,7 @@ class MuxUdpServer(_EventLoopMixin):
 
     def drain(self, timeout=5.0):
         """Graceful drain (same contract as the threaded server)."""
-        if hasattr(self.registry, "begin_drain"):
-            self.registry.begin_drain()
+        self.svc.begin_drain()
         if self._pool is not None:
             return self._pool.wait_idle(timeout)
         return self._inflight.wait_idle(timeout)
@@ -392,7 +375,7 @@ class MuxTcpServer(_EventLoopMixin):
     _transport = "tcp"
 
     def __init__(self, registry, host="127.0.0.1", port=0, backlog=128,
-                 fastpath=False, drc=True, fault_plan=None,
+                 drc=True, fault_plan=None,
                  max_inflight=None, workers=0, queue_depth=64,
                  max_record=1 << 24, drc_dir=None, drc_fsync=None,
                  online_spec=None, queue_policy=None,
@@ -403,21 +386,11 @@ class MuxTcpServer(_EventLoopMixin):
         self.requests_shed = 0
         self.requests_handled = 0
         self._counters_lock = threading.Lock()
-        if fastpath and hasattr(registry, "enable_fastpath"):
-            registry.enable_fastpath()
-        if drc and hasattr(registry, "enable_drc"):
-            if getattr(registry, "drc", None) is None:
-                registry.enable_drc()
-        #: DRC persistence: recover, then journal (off unless
-        #: ``drc_dir`` / ``REPRO_DRC_DIR`` is set).
-        self.journal = attach_journal(registry, drc_dir=drc_dir,
-                                      fsync=drc_fsync)
-        #: profile-guided online specialization (caller-owned; see
-        #: :mod:`repro.specialized.online`).
-        if online_spec is not None and hasattr(registry,
-                                               "install_profiler"):
-            online_spec.attach_server(registry)
-            online_spec.ensure_started()
+        #: the registry holding dispatch policy (see
+        #: :func:`~repro.rpc.server.serve_registry`)
+        self.svc, self.journal = serve_registry(
+            registry, drc=drc, drc_dir=drc_dir, drc_fsync=drc_fsync,
+            online_spec=online_spec)
         self.fault_plan = fault_plan
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -534,9 +507,7 @@ class MuxTcpServer(_EventLoopMixin):
         return reply
 
     def _shed(self, record, reason="queue_full"):
-        shed = None
-        if hasattr(self.registry, "shed_reply_bytes"):
-            shed = self.registry.shed_reply_bytes(record, reason=reason)
+        shed = self.svc.shed_reply_bytes(record, reason=reason)
         with self._counters_lock:
             self.requests_shed += 1
         return shed
@@ -617,8 +588,7 @@ class MuxTcpServer(_EventLoopMixin):
 
     def drain(self, timeout=5.0):
         """Graceful drain (same contract as the threaded server)."""
-        if hasattr(self.registry, "begin_drain"):
-            self.registry.begin_drain()
+        self.svc.begin_drain()
         if self._pool is not None:
             return self._pool.wait_idle(timeout)
         return self._limiter.wait_idle(timeout)

@@ -5,14 +5,15 @@ import threading
 
 from repro import obs as _obs
 from repro.errors import FaultInjected, RpcProtocolError
-from repro.rpc.durable import attach_journal
 from repro.rpc.faults import FaultySocket
 from repro.rpc.record import read_record, write_record
 from repro.rpc.resilience import InflightLimiter
+from repro.rpc.server import serve_registry
 
 
 class TcpServer:
-    """Serves a :class:`~repro.rpc.server.SvcRegistry` over TCP.
+    """Serves a :class:`~repro.rpc.server.SvcRegistry` (or a server
+    specialization installed in one) over TCP.
 
     Each accepted connection gets its own daemon thread, processing
     record-marked calls until the peer disconnects.
@@ -35,30 +36,18 @@ class TcpServer:
     """
 
     def __init__(self, registry, host="127.0.0.1", port=0, backlog=16,
-                 fastpath=False, drc=True, fault_plan=None,
+                 drc=True, fault_plan=None,
                  max_inflight=None, drc_dir=None, drc_fsync=None,
                  online_spec=None):
         self.registry = registry
         self._limiter = InflightLimiter(max_inflight)
         #: requests answered with an over-cap shed reply
         self.requests_shed = 0
-        #: fast path: template/pooled replies live in the registry (the
-        #: reply pool is thread-safe, so connection threads share it).
-        if fastpath and hasattr(registry, "enable_fastpath"):
-            registry.enable_fastpath()
-        if drc and hasattr(registry, "enable_drc"):
-            if getattr(registry, "drc", None) is None:
-                registry.enable_drc()
-        #: DRC persistence: recover, then journal (off unless
-        #: ``drc_dir`` / ``REPRO_DRC_DIR`` is set).
-        self.journal = attach_journal(registry, drc_dir=drc_dir,
-                                      fsync=drc_fsync)
-        #: profile-guided online specialization (caller-owned; see
-        #: :mod:`repro.specialized.online`).
-        if online_spec is not None and hasattr(registry,
-                                               "install_profiler"):
-            online_spec.attach_server(registry)
-            online_spec.ensure_started()
+        #: the registry holding dispatch policy (see
+        #: :func:`~repro.rpc.server.serve_registry`)
+        self.svc, self.journal = serve_registry(
+            registry, drc=drc, drc_dir=drc_dir, drc_fsync=drc_fsync,
+            online_spec=online_spec)
         self.fault_plan = fault_plan
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -89,11 +78,8 @@ class TcpServer:
                     return
                 if not self._limiter.try_acquire():
                     # Over the in-flight cap: answer, don't queue.
-                    reply = None
-                    if hasattr(self.registry, "shed_reply_bytes"):
-                        reply = self.registry.shed_reply_bytes(
-                            data, reason="queue_full"
-                        )
+                    reply = self.svc.shed_reply_bytes(
+                        data, reason="queue_full")
                     self.requests_shed += 1
                 else:
                     try:
@@ -143,8 +129,7 @@ class TcpServer:
         dispatches to finish.  Connections stay open (DRC replays and
         health checks still answer); call :meth:`stop` to tear down.
         Returns True once idle."""
-        if hasattr(self.registry, "begin_drain"):
-            self.registry.begin_drain()
+        self.svc.begin_drain()
         return self._limiter.wait_idle(timeout)
 
     def start(self):

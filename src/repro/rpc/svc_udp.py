@@ -7,13 +7,14 @@ import time
 from repro import obs as _obs
 from repro.errors import RpcProtocolError
 from repro.rpc.client import UDPMSGSIZE
-from repro.rpc.durable import attach_journal
 from repro.rpc.faults import FaultySocket
 from repro.rpc.resilience import InflightLimiter, WorkerPool
+from repro.rpc.server import serve_registry
 
 
 class UdpServer:
-    """Serves a :class:`~repro.rpc.server.SvcRegistry` over UDP.
+    """Serves a :class:`~repro.rpc.server.SvcRegistry` (or a server
+    specialization installed in one) over UDP.
 
     Usable inline (``handle_once`` in a loop) or as a daemon thread
     (``start``/``stop``), which is how the tests and examples run
@@ -42,7 +43,7 @@ class UdpServer:
     """
 
     def __init__(self, registry, host="127.0.0.1", port=0,
-                 bufsize=UDPMSGSIZE, fastpath=False, drc=True,
+                 bufsize=UDPMSGSIZE, drc=True,
                  fault_plan=None, workers=0, queue_depth=64,
                  drc_dir=None, drc_fsync=None, online_spec=None,
                  queue_policy=None, queue_target_s=None,
@@ -65,28 +66,12 @@ class UdpServer:
         #: in-flight tracking for graceful drain (inline mode; worker
         #: mode tracks through the pool's own limiter)
         self._inflight = InflightLimiter()
-        #: fast path: one reusable receive buffer (the receive loop is
-        #: not reentrant) + template/pooled replies in the registry.
-        self._recv_buffer = bytearray(bufsize) if fastpath else None
-        if fastpath and hasattr(registry, "enable_fastpath"):
-            registry.enable_fastpath()
-        if drc and hasattr(registry, "enable_drc"):
-            if getattr(registry, "drc", None) is None:
-                registry.enable_drc()
-        #: DRC persistence (see :mod:`repro.rpc.durable`): recover the
-        #: predecessor's replies, then journal this incarnation's.
-        #: Off unless ``drc_dir`` (or ``REPRO_DRC_DIR``) names a
-        #: directory.
-        self.journal = attach_journal(registry, drc_dir=drc_dir,
-                                      fsync=drc_fsync)
-        #: profile-guided online specialization (see
-        #: :mod:`repro.specialized.online`): off unless an
-        #: OnlineSpecializer is passed; its lifetime belongs to the
-        #: caller (``REPRO_ONLINE_SPEC=0`` is a global kill switch).
-        if online_spec is not None and hasattr(registry,
-                                               "install_profiler"):
-            online_spec.attach_server(registry)
-            online_spec.ensure_started()
+        #: the registry holding dispatch policy (drain, shed, DRC,
+        #: journal, profiler) — ``registry`` itself, or the one a
+        #: specialization is installed in
+        self.svc, self.journal = serve_registry(
+            registry, drc=drc, drc_dir=drc_dir, drc_fsync=drc_fsync,
+            online_spec=online_spec)
         self._pool = None
         if workers:
             self._pool = WorkerPool(
@@ -97,10 +82,6 @@ class UdpServer:
                 queue_interval_s=queue_interval_s,
                 shed_handler=self._shed_sojourn,
             )
-
-    @property
-    def fastpath_enabled(self):
-        return self._recv_buffer is not None
 
     def _process(self, data, addr, received_at=None):
         """Dispatch one datagram and send the reply (any thread).
@@ -134,9 +115,7 @@ class UdpServer:
 
     def _shed(self, data, addr, reason="queue_full"):
         """Answer a request the queue refused with SYSTEM_ERR."""
-        shed = None
-        if hasattr(self.registry, "shed_reply_bytes"):
-            shed = self.registry.shed_reply_bytes(data, reason=reason)
+        shed = self.svc.shed_reply_bytes(data, reason=reason)
         if shed is not None:
             self.sock.sendto(shed, addr)
         with self._counters_lock:
@@ -154,17 +133,12 @@ class UdpServer:
         if timeout is not None:
             self.sock.settimeout(timeout)
         try:
-            if self._recv_buffer is not None:
-                nbytes, addr = self.sock.recvfrom_into(self._recv_buffer)
-                data = memoryview(self._recv_buffer)[:nbytes]
-            else:
-                data, addr = self.sock.recvfrom(self.bufsize)
+            data, addr = self.sock.recvfrom(self.bufsize)
         except socket.timeout:
             return False
         received_at = time.monotonic()
         if self._pool is not None:
-            # The receive buffer is reused; workers need their own copy.
-            if not self._pool.submit((bytes(data), addr, received_at)):
+            if not self._pool.submit((data, addr, received_at)):
                 self._shed(data, addr)
             return True
         self._inflight.try_acquire()
@@ -190,8 +164,7 @@ class UdpServer:
         to complete.  The transport keeps running — call :meth:`stop`
         to tear it down.  Returns True once idle.
         """
-        if hasattr(self.registry, "begin_drain"):
-            self.registry.begin_drain()
+        self.svc.begin_drain()
         if self._pool is not None:
             return self._pool.wait_idle(timeout)
         return self._inflight.wait_idle(timeout)

@@ -42,15 +42,14 @@ from dataclasses import dataclass
 
 from repro import obs as _obs
 from repro.errors import VerificationError, XdrError
-from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.message import (
-    AcceptStat,
     CallHeader,
+    accepted_reply_tail,
     decode_reply_header,
     encode_call_header,
     raise_for_reply,
 )
-from repro.rpc.server import _TO_GENERIC
+from repro.rpc.server import Route
 from repro.specialized.sizes import reply_size, request_size
 from repro.xdr import XdrMemStream, XdrOp
 
@@ -59,9 +58,10 @@ logger = logging.getLogger(__name__)
 #: the static words of a v2 call header (msg_type CALL=0, rpcvers=2).
 _CALL_V2 = struct.pack(">II", 0, 2)
 
-#: the accepted-SUCCESS reply shape (used to sample only success-reply
-#: sizes — error replies say nothing about the result invariants).
-_SUCCESS_REPLY = ReplyHeaderTemplate()
+#: the accepted-SUCCESS reply header after the xid (used to sample only
+#: success-reply sizes — error replies say nothing about the result
+#: invariants).
+_SUCCESS_TAIL = accepted_reply_tail()
 
 #: bound on the distinct sizes a profile/violation tally tracks; sizes
 #: beyond it still count toward totals but are not enumerated (a wild
@@ -167,7 +167,7 @@ class DispatchProfiler:
         profile.calls += 1
         profile.last_ts = self.clock()
         reply_bytes = (len(reply) if reply is not None
-                       and _SUCCESS_REPLY.matches(reply) else None)
+                       and reply[4:24] == _SUCCESS_TAIL else None)
         pair = (len(data), reply_bytes)
         profile.recent.append(pair)
         pairs = profile.pairs
@@ -204,52 +204,41 @@ def _dominant_of_counts(counts):
     return value, counts[value] / sum(counts.values())
 
 
-class OnlineServerRoute:
-    """One hot procedure's residual dispatch, with the invariant guard.
+class OnlineServerRoute(Route):
+    """One hot procedure's residual route (tier ``online``), with the
+    invariant guard.
 
-    Holds a map of *exact request sizes* to compiled
-    :class:`~repro.specialized.pipeline.ServerSpecialization` residuals
-    (one per specialized length — "widened bounds" means more entries).
-    A request whose size is not in the map is an invariant violation:
-    it is counted and handed back to the generic dispatcher, which
-    answers it correctly on that call (the guard never guesses).
-
-    Semantics match the staged/generic paths exactly: drain mode and
-    quota shedding behave identically, and the DRC claim protocol
-    (begin -> execute -> put / abandon) runs with the same keys, so
-    at-most-once holds across a mid-traffic hot swap.
+    ``replies`` maps each *exact request size* specialized so far to
+    that size's compiled residual (one per length — "widened bounds"
+    means more entries).  A request whose size is not in the map, or
+    that the residual declines, is an invariant violation: the registry
+    answers it generically on that call (the guard never guesses) and
+    reports it through :meth:`miss`, which tallies it for the
+    specializer's review.  Every dispatch policy runs in the registry,
+    so at-most-once, drain, quota and telemetry hold across a
+    mid-traffic hot swap.
     """
 
-    _ERR_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
-
-    def __init__(self, registry, prog, vers, proc):
-        self.registry = registry
-        self.prog = prog
-        self.vers = vers
-        self.proc = proc
-        #: expected request bytes -> ServerSpecialization (copy-on-write)
-        self._specs = {}
-        self.hits = 0
+    def __init__(self, prog, vers, proc):
+        super().__init__(prog, vers, proc, {}, tier="online")
         self.violations = 0
         self._violation_sizes = {}
 
     @property
     def sizes(self):
         """The specialized request sizes, ascending."""
-        return sorted(self._specs)
+        return sorted(self.replies)
 
     def add_size(self, request_bytes, spec):
         """Widen the guard: publish a new size -> residual binding."""
-        specs = dict(self._specs)
-        specs[request_bytes] = spec
-        self._specs = specs
+        self.replies = {**self.replies, request_bytes: spec.residual_reply}
 
     def take_violation_sizes(self):
         """Drain the per-size violation tally (review time)."""
         sizes, self._violation_sizes = self._violation_sizes, {}
         return sizes
 
-    def _violation(self, nbytes):
+    def miss(self, nbytes):
         self.violations += 1
         sizes = self._violation_sizes
         if nbytes in sizes or len(sizes) < _MAX_TRACKED_SIZES:
@@ -257,78 +246,6 @@ class OnlineServerRoute:
         if _obs.enabled:
             _obs.registry.counter("rpc.spec.online.violations",
                                   side="server").inc()
-        return _TO_GENERIC
-
-    def _count(self, outcome):
-        """Request/outcome counters for a route-answered request (the
-        generic dispatcher was bypassed, so it cannot count this one)."""
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.requests").inc()
-            _obs.registry.counter("rpc.server.replies",
-                                  outcome=outcome).inc()
-
-    def __call__(self, data, caller):
-        registry = self.registry
-        if registry.draining:
-            return _TO_GENERIC
-        spec = self._specs.get(len(data))
-        if spec is None:
-            return self._violation(len(data))
-        xid_bytes = bytes(data[0:4])
-        drc = registry.drc
-        drc_key = None
-        if drc is not None and caller is not None:
-            drc_key = (int.from_bytes(xid_bytes, "big"), caller,
-                       self.prog, self.vers, self.proc)
-            verdict = drc.begin(drc_key)
-            if verdict is False:
-                self._count("dropped")
-                return None  # original still executing: drop
-            if verdict is not True:
-                self._count("drc_replay")
-                return verdict  # replay the recorded reply
-        if registry._over_quota(caller, self.prog, self.vers):
-            if drc_key is not None:
-                drc.abandon(drc_key)
-            registry.sheds += 1
-            if _obs.enabled:
-                _obs.registry.counter("rpc.server.sheds",
-                                      reason="quota").inc()
-            self._count("shed")
-            return xid_bytes + self._ERR_TAIL
-        span = None
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.requests").inc()
-            span = _obs.span(
-                "server.dispatch", side="server", tier="online",
-                bytes=len(data), prog=self.prog, proc=self.proc,
-                caller=str(caller) if caller is not None else None,
-            )
-        reply = spec.residual_reply(data)
-        if reply is None:
-            # The residual program declined (bytes that crash it): the
-            # generic dispatcher owns the request.  Release the claim
-            # so its own begin/claim protocol takes over; note this
-            # request was already counted above, so the generic path's
-            # own count makes the totals off by one — acceptable for a
-            # defended-garbage path that normal traffic never takes.
-            if drc_key is not None:
-                drc.abandon(drc_key)
-            if span is not None:
-                span.end(outcome="fallback")
-            return self._violation(len(data))
-        registry.handlers_invoked += 1
-        self.hits += 1
-        if drc_key is not None:
-            drc.put(drc_key, reply)
-        if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.hits",
-                                  side="server").inc()
-            _obs.registry.counter("rpc.server.replies",
-                                  outcome="success").inc()
-        if span is not None:
-            span.end(outcome="success", reply_bytes=len(reply))
-        return reply
 
 
 class OnlineClientCodec:
@@ -464,7 +381,7 @@ class OnlineClientCodec:
         return stream.data()
 
     def parse_reply(self, data, xid):
-        if _SUCCESS_REPLY.matches(data):
+        if data[4:24] == _SUCCESS_TAIL:
             self.reply_recent.append(len(data))
         spec = self._by_reply.get(len(data))
         if spec is not None:
@@ -749,9 +666,9 @@ class OnlineSpecializer:
             spec = self._build_server(state, proc, req_bytes, rep_bytes)
             if spec is None:
                 return
-            route = OnlineServerRoute(registry, prog, vers, proc_number)
+            route = OnlineServerRoute(prog, vers, proc_number)
             route.add_size(req_bytes, spec)
-            registry.install_online_route(prog, vers, proc_number, route)
+            registry.install_route(route)
             state.route = route
             state.reviewed_violations = 0
             self._counted("promotions", "server")
@@ -780,7 +697,7 @@ class OnlineSpecializer:
                 return  # the build was refused; keep the route as-is
         # No stable new length (the distribution shifted), or the
         # route is as wide as policy allows: demote to generic.
-        registry.remove_online_route(prog, vers, proc_number)
+        registry.remove_route(prog, vers, proc_number)
         profiler.reset(key)
         state.route = None
         state.reviewed_violations = 0

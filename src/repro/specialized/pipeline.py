@@ -27,7 +27,6 @@ cache.
 """
 
 import os
-import struct
 
 from repro import obs as _obs
 from repro.errors import IdlError, XdrError
@@ -35,6 +34,7 @@ from repro.minic.compile_py import compile_program
 from repro.minic.parser import parse_program
 from repro.minic.typecheck import typecheck_program
 from repro.rpc.message import decode_reply_header, raise_for_reply
+from repro.rpc.server import Route, SvcRegistry
 from repro.rpcgen import idl_ast as idl
 from repro.rpcgen.codegen_minic import MiniCGenerator, generate_minic
 from repro.rpcgen.codegen_py import load_python
@@ -160,62 +160,51 @@ class ClientSpecialization:
         return True, self._generic_ret_filter(stream, None)
 
     def install(self, client):
-        """Attach these codecs to an RpcClient for this procedure.
-
-        On a fast-path client this also narrows the buffer pools to the
-        exact expected request/reply sizes (the paper's §6 exact-size
-        buffers) instead of the 8800-byte default."""
+        """Attach these codecs to an RpcClient for this procedure."""
         client.install_codec(
             self.proc.number, self.build_request, self.parse_reply
         )
-        configure = getattr(client, "configure_buffers", None)
-        if configure is not None:
-            configure(self.expected_request, self.expected_reply)
         return client
 
 
 class ServerSpecialization:
-    """A compiled specialized dispatcher, duck-typed as a registry for
-    :class:`~repro.rpc.svc_udp.UdpServer` (it only needs
-    ``dispatch_bytes``)."""
+    """A compiled specialized dispatcher, installed as a
+    :class:`~repro.rpc.server.Route` (tier ``specialized``) in a
+    registry.
 
-    def __init__(self, pipeline, handle_result, bufsize, fallback=None):
+    The residual answers null-auth calls of the hot procedure at the
+    request size it was specialized for.  Everything else — other
+    procedures and sizes, other credentials, requests the residual
+    declines — is answered by that registry's generic path: the
+    ``fallback`` passed in, or an empty registry of its own.  Serving
+    this object on any transport serves :attr:`registry`, so its drain,
+    shedding, quota, DRC, journal and profiler apply to residual hits
+    exactly as to generic calls.
+    """
+
+    def __init__(self, pipeline, handle_result, bufsize, proc,
+                 expected_request, fallback=None):
         self.pipeline = pipeline
         self.bufsize = bufsize
-        self.fallback = fallback
         self.result = handle_result
         self._module = compile_program(handle_result.program)
         self._params = [n for _t, n in handle_result.residual_params]
         self._entry = handle_result.entry_name
         self._out_buffers = sr.ScratchBuffers(bufsize)
         self.fast_path_hits = 0
-        self.fallback_hits = 0
-
-    def _drc_key(self, data, caller):
-        """The fallback registry's DRC key for this request, or None.
-
-        The residual dispatcher re-executes the handler on every
-        datagram, so duplicates are filtered here with the same reply
-        cache the generic path uses — keeping the specialized and
-        generic servers behaviorally equivalent under retransmission.
-        """
-        drc = getattr(self.fallback, "drc", None)
-        if drc is None or caller is None or len(data) < 24:
-            return None
-        xid, _mtype, _rpcvers, prog, vers, proc = struct.unpack_from(
-            ">6I", data, 0
-        )
-        return drc.key(xid, caller, prog, vers, proc)
+        #: the registry every request is dispatched through
+        self.registry = (fallback if fallback is not None
+                         else SvcRegistry(bufsize=bufsize))
+        self.route = self.registry.install_route(Route(
+            pipeline.prog_number, pipeline.vers_number, proc.number,
+            {expected_request: self.residual_reply}, tier="specialized",
+        ))
 
     def residual_reply(self, data):
         """Run the residual dispatcher alone: the reply bytes for
         ``data``, or None when the residual program declined (bytes
-        that crash it, a reply that does not fit).
-
-        No DRC, drain, quota, or fallback logic — callers compose
-        those policies themselves (:meth:`dispatch_bytes` does for the
-        offline wrapper; :class:`repro.specialized.online
-        .OnlineServerRoute` does for hot-swapped routes)."""
+        that crash it, a reply that does not fit).  Every dispatch
+        policy runs in the registry around it."""
         in_buffer = sr.fresh_buffer(data)
         out_buffer = self._out_buffers.acquire()
         try:
@@ -232,6 +221,9 @@ class ServerSpecialization:
             # repro: disable=overbroad-except -- a faulting residual must fall back to the generic dispatcher
             except Exception:
                 outlen = 0
+                if _obs.enabled:
+                    _obs.registry.counter(
+                        "rpc.server.decode_defended").inc()
             if outlen:
                 self.fast_path_hits += 1
                 return bytes(out_buffer.data[:outlen])
@@ -240,125 +232,9 @@ class ServerSpecialization:
             self._out_buffers.release(out_buffer)
 
     def dispatch_bytes(self, data, caller=None, received_at=None):
-        span = None
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.requests").inc()
-            span = _obs.span(
-                "server.dispatch", side="server", tier="specialized",
-                bytes=len(data),
-                caller=str(caller) if caller is not None else None,
-            )
-        drc_key = self._drc_key(data, caller)
-        if drc_key is not None:
-            drc_span = (span.child("server.drc_lookup")
-                        if span is not None else None)
-            cached = self.fallback.drc.get(drc_key)
-            if drc_span is not None:
-                drc_span.end(hit=cached is not None)
-            if cached is not None:
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="drc_replay").inc()
-                if span is not None:
-                    span.end(outcome="drc_replay")
-                return cached
-        if getattr(self.fallback, "draining", False):
-            # Drain mode applies to the residual fast path too: the
-            # generic registry sheds (or answers health) so both tiers
-            # refuse new work identically.
-            if span is not None:
-                span.end(outcome="drained")
-            return self.fallback.dispatch_bytes(data, caller=caller,
-                                                received_at=received_at)
-        if drc_key is not None:
-            # Atomic claim before executing (see
-            # DuplicateRequestCache.claim): only one worker runs a
-            # given xid even when the original and a retransmission
-            # are queued together.
-            claimed = self.fallback.drc.claim(drc_key)
-            if claimed is False:
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="dropped").inc()
-                if span is not None:
-                    span.end(outcome="dropped")
-                return None
-            if claimed is not True:
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="drc_replay").inc()
-                if span is not None:
-                    span.end(outcome="drc_replay")
-                return claimed
-        in_buffer = sr.fresh_buffer(data)
-        out_buffer = self._out_buffers.acquire()
-        try:
-            values = {
-                "inbuf": sr.buffer_cursor(in_buffer),
-                "inlen": len(data),
-                "outbuf": sr.buffer_cursor(out_buffer),
-                "outsize": self.bufsize,
-            }
-            handler_span = (span.child("server.handler")
-                            if span is not None else None)
-            try:
-                outlen = self._module.call(
-                    self._entry, *[values[name] for name in self._params]
-                )
-            # repro: disable=overbroad-except -- a faulting residual must fall back to the generic dispatcher
-            except Exception:
-                # Defensive decode: fuzzed bytes that crash the
-                # residual program must not crash dispatch — hand the
-                # request to the generic fallback (which answers with
-                # a typed RPC error or drops it).
-                outlen = 0
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.decode_defended").inc()
-            if handler_span is not None:
-                handler_span.end(residual=True)
-            if outlen:
-                self.fast_path_hits += 1
-                reply = bytes(out_buffer.data[:outlen])
-                if drc_key is not None:
-                    self.fallback.drc.put(drc_key, reply)
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.specialized_hits").inc()
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="success").inc()
-                if span is not None:
-                    span.end(outcome="success", reply_bytes=len(reply))
-                return reply
-        except BaseException as exc:
-            if drc_key is not None:
-                self.fallback.drc.abandon(drc_key)
-            if span is not None:
-                span.end(outcome="error", error=type(exc).__name__)
-            raise
-        finally:
-            self._out_buffers.release(out_buffer)
-        if drc_key is not None:
-            # Hand the claim back before delegating — the fallback
-            # registry re-claims atomically, so single execution still
-            # holds (a racing duplicate that claims first wins and the
-            # fallback drops this one).
-            self.fallback.drc.abandon(drc_key)
-        if self.fallback is not None:
-            self.fallback_hits += 1
-            if _obs.enabled:
-                _obs.registry.counter(
-                    "rpc.server.specialized_fallbacks").inc()
-            if span is not None:
-                span.end(outcome="fallback")
-            return self.fallback.dispatch_bytes(data, caller=caller,
-                                                received_at=received_at)
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.replies",
-                                  outcome="dropped").inc()
-        if span is not None:
-            span.end(outcome="dropped")
-        return None
+        """Dispatch one call message through :attr:`registry`."""
+        return self.registry.dispatch_bytes(data, caller=caller,
+                                            received_at=received_at)
 
 
 class SpecializationPipeline:
@@ -597,9 +473,9 @@ class SpecializationPipeline:
     def specialize_server(self, hot_proc, arg_lens=None, res_lens=None,
                           bufsize=8800, fallback=None):
         """Specialize the server dispatch path for the expected workload
-        (``hot_proc`` with the given array lengths); other requests take
-        the generic residual branch or the optional ``fallback``
-        registry."""
+        (``hot_proc`` with the given array lengths) and install the
+        residual as a route in ``fallback`` (or in a fresh registry);
+        other requests take that registry's generic path."""
         if self.impl_sources is None:
             raise IdlError(
                 "server specialization needs MiniC impl_sources for the"
@@ -620,7 +496,7 @@ class SpecializationPipeline:
         )
         # The residual program is cached; the wrapper is rebuilt per
         # call because it carries per-instance state (dispatch counters,
-        # the live ``fallback`` registry).
+        # the registry it is installed in).
         check = None
         if self.verify_enabled():
             check = lambda result: self._server_check(  # noqa: E731
@@ -635,7 +511,10 @@ class SpecializationPipeline:
             load=lambda payload: payload,
             check=check,
         )
-        return ServerSpecialization(self, handle_result, bufsize, fallback)
+        return ServerSpecialization(
+            self, handle_result, bufsize, proc,
+            request_size(self.interface, arg_struct, arg_lens), fallback,
+        )
 
     def _specialize_server_uncached(self, proc, arg_lens, res_lens, bufsize):
         arg_struct = self._struct_for(proc.arg, proc.name)

@@ -68,9 +68,8 @@ def reply_size(interface, ret_struct, lens):
 def message_sizes(interface, arg_struct, ret_struct, arg_lens, res_lens):
     """``(request_size, reply_size)`` for one procedure's invariants.
 
-    This pair is what the runtime fast path installs as its exact-fit
-    pooled-buffer sizes (in place of the 8800-byte default) when a
-    specialization is attached to a client.
+    The request size keys the server route a specialization installs;
+    the reply size is what the client codec's residual decoder expects.
     """
     return (
         request_size(interface, arg_struct, arg_lens),

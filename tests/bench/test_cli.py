@@ -63,9 +63,9 @@ def test_rpcgen_default_prints_python(tmp_path, capsys):
 
 def test_bench_live_report(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert bench_main(["live", "--sizes", "20"]) == 0
+    assert bench_main(["live"]) == 0
     out = capsys.readouterr().out
-    assert "Live marshal" in out
+    assert "Observability" in out
     assert "round trip" in out
     assert (tmp_path / "BENCH_live.json").exists()
 
@@ -76,14 +76,12 @@ def test_live_run_emits_json(tmp_path):
     from repro.bench import live
 
     json_path = tmp_path / "live.json"
-    results = live.run(sizes=(20,), repeats=2, number=30,
-                       json_path=str(json_path))
+    results = live.run(repeats=2, number=30, json_path=str(json_path))
     on_disk = json.loads(json_path.read_text())
-    assert on_disk["marshal"]["20"]["speedup"] == pytest.approx(
-        results["marshal"]["20"]["speedup"]
+    assert on_disk["obs"]["overhead_pct"] == pytest.approx(
+        results["obs"]["overhead_pct"]
     )
-    roundtrip = on_disk["roundtrip"]["20"]
-    assert roundtrip["generic_us"] > 0
-    assert roundtrip["fastpath_us"] > 0
-    # Steady-state fast-path calls never allocate a buffer.
-    assert roundtrip["fastpath_pool_allocations"] == 0
+    assert on_disk["obs"]["overhead_bound_pct"] == 2.0
+    assert on_disk["obs"]["roundtrip_us"]["disabled"] > 0
+    # the metrics-on runs left their instruments in the snapshot
+    assert on_disk["obs_metrics"]["counters"]["rpc.server.requests"] > 0

@@ -26,18 +26,19 @@ def run_lossy_calls(calls=CALLS, drop=0.20, duplicate=0.10):
     sink = MemorySink()
     obs.tracer.add_sink(sink)
     obs.enabled = True
-    registry = SvcRegistry(fastpath=True)
+    registry = SvcRegistry()
     registry.register(
         PROG, VERS, 1, lambda a: [x + 1 for x in a], xdr_iarr, xdr_iarr
     )
+    registry.stage_route(PROG, VERS, 1)
     client_plan = FaultPlan(seed=1001, drop=drop, duplicate=duplicate)
     server_plan = FaultPlan(seed=2002, drop=drop, duplicate=duplicate)
     try:
-        with UdpServer(registry, fastpath=True, drc=True,
+        with UdpServer(registry, drc=True,
                        fault_plan=server_plan) as server:
             with UdpClient("127.0.0.1", server.port, PROG, VERS,
                            timeout=30.0, wait=0.005, max_wait=0.25,
-                           jitter=0.0, fastpath=True,
+                           jitter=0.0,
                            fault_plan=client_plan) as transport:
                 for value in range(calls):
                     reply = transport.call(1, [value], xdr_iarr, xdr_iarr)
@@ -64,7 +65,7 @@ class TestLossyRunThroughTheInstruments:
         # retransmissions, aggregated once per call at call end
         assert (counters["rpc.client.attempts{transport=udp}"]
                 == CALLS + retrans)
-        assert (counters["rpc.client.calls{tier=fastpath,transport=udp}"]
+        assert (counters["rpc.client.calls{tier=generic,transport=udp}"]
                 == CALLS)
         # client lifetime counters and the registry agree exactly
         assert stats["calls_completed"] == CALLS
@@ -80,6 +81,9 @@ class TestLossyRunThroughTheInstruments:
                 == drc["hits"])
         assert (counters["rpc.server.replies{outcome=success}"]
                 == CALLS)
+        # observing does not bypass the staged route: it answered
+        # every first sighting
+        assert counters["rpc.server.route_hits{tier=staged}"] == CALLS
         hist = snapshot["histograms"][
             "rpc.client.call_latency_s{transport=udp}"]
         assert hist["count"] == CALLS
@@ -123,3 +127,40 @@ class TestLossyRunThroughTheInstruments:
         total_sends = sum(len(a) for a in sends_by_trace.values())
         counters = snapshot["counters"]
         assert total_sends == counters["rpc.client.attempts{transport=udp}"]
+
+
+class TestRoutesUnderObservation:
+    """Observing never changes which code runs: a staged route answers
+    with instrumentation on, its span names the route's tier, and each
+    request counts once in ``rpc.server.requests`` — also when the
+    route declines and the generic path answers."""
+
+    def test_route_answers_with_obs_on(self):
+        from repro.rpc.client import RpcClient
+
+        registry = SvcRegistry()
+        registry.register(
+            PROG, VERS, 1, lambda a: [x + 1 for x in a], xdr_iarr, xdr_iarr
+        )
+        registry.stage_route(PROG, VERS, 1)
+        client = RpcClient(PROG, VERS)
+        requests = [client.build_call(xid, 1, [xid], xdr_iarr)
+                    for xid in range(3)]
+        # truncated body: the route declines, generic answers GARBAGE_ARGS
+        requests.append(client.build_call(9, 1, [1, 2], xdr_iarr)[:-4])
+        sink = obs.tracer.add_sink(MemorySink())
+        obs.enabled = True
+        try:
+            for request in requests:
+                registry.dispatch_bytes(request)
+        finally:
+            obs.enabled = False
+        counters = obs.collect()["counters"]
+        roots = [r for r in sink.records if r["name"] == "server.dispatch"]
+        assert [r["tier"] for r in roots] == ["staged"] * 3 + ["generic"]
+        assert [r["outcome"] for r in roots] == (["success"] * 3
+                                                 + ["garbage_args"])
+        assert counters["rpc.server.requests"] == 4
+        assert counters["rpc.server.route_hits{tier=staged}"] == 3
+        assert counters["rpc.server.route_misses{tier=staged}"] == 1
+        assert registry.handlers_invoked == 3

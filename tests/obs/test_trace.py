@@ -78,10 +78,10 @@ class TestSpanLifecycle:
     def test_add_attaches_late_fields(self):
         tracer, sink = _tracer_with_memory()
         span = tracer.start("server.dispatch")
-        span.add(xid=42, tier="fastpath")
+        span.add(xid=42, tier="staged")
         span.end()
         assert sink.records[0]["xid"] == 42
-        assert sink.records[0]["tier"] == "fastpath"
+        assert sink.records[0]["tier"] == "staged"
 
 
 class TestSinks:

@@ -11,8 +11,12 @@ from repro.rpc import (
     TcpServer,
     UdpClient,
     UdpServer,
+    make_auth_sys,
 )
-from repro.xdr import XdrOp, xdr_array, xdr_int, xdr_string
+from repro.rpc.auth import NULL_AUTH, OpaqueAuth
+from repro.rpc.client import RpcClient
+from repro.rpc.message import CallHeader, encode_call_header
+from repro.xdr import XdrMemStream, XdrOp, xdr_array, xdr_int, xdr_string
 
 PROG, VERS = 0x20002222, 1
 
@@ -36,11 +40,58 @@ def registry():
     return reg
 
 
+AUTH_FLAVORS = [
+    (NULL_AUTH, NULL_AUTH),
+    (make_auth_sys(7, "testhost", 1000, 100, (1, 2, 3)), NULL_AUTH),
+    (make_auth_sys(1, "h", 0, 0), OpaqueAuth(2, b"shorthand")),
+]
+
+
+class TestMessageBytes:
+    """Client message building and reply checking, off the wire."""
+
+    @pytest.mark.parametrize("cred,verf", AUTH_FLAVORS)
+    @pytest.mark.parametrize("proc", [0, 1, 2, 77])
+    def test_call_bytes_identical(self, cred, verf, proc):
+        """``build_call`` equals the header encoder plus the body."""
+        client = RpcClient(PROG, VERS, cred=cred, verf=verf)
+        for xid in (0, 1, 0x7FFFFFFF, 0xFFFFFFFF):
+            stream = XdrMemStream(bytearray(client.bufsize), XdrOp.ENCODE)
+            encode_call_header(stream, CallHeader(xid, PROG, VERS, proc,
+                                                  cred, verf))
+            xdr_iarr(stream, [1, 2, 3])
+            assert client.build_call(xid, proc, [1, 2, 3],
+                                     xdr_iarr) == stream.data()
+
+    def test_stale_xid_is_unmatched_not_an_error(self, registry):
+        client = RpcClient(PROG, VERS)
+        reply = registry.dispatch_bytes(
+            client.build_call(41, 2, [1, 2], xdr_iarr))
+        matched, _ = client.parse_reply(reply, 42, 2, xdr_iarr)
+        assert matched is False
+        matched, value = client.parse_reply(memoryview(reply), 41, 2,
+                                            xdr_iarr)
+        assert matched and value == [2, 4]
+
+    def test_error_reply_raises(self, registry):
+        client = RpcClient(PROG, VERS)
+        reply = registry.dispatch_bytes(client.build_call(7, 99, None, None))
+        with pytest.raises(RpcDeniedError, match="PROC_UNAVAIL"):
+            client.parse_reply(reply, 7, 99, None)
+
+
 class TestUdp:
     def test_simple_call(self, registry):
         with UdpServer(registry) as server:
             with UdpClient("127.0.0.1", server.port, PROG, VERS) as client:
                 assert client.call(1, [5, 3, 9], xdr_iarr, xdr_int) == 3
+
+    def test_auth_sys_call(self, registry):
+        cred = make_auth_sys(3, "box", 501, 20, (12,))
+        with UdpServer(registry) as server:
+            with UdpClient("127.0.0.1", server.port, PROG, VERS,
+                           cred=cred) as client:
+                assert client.call(1, [5, 7], xdr_iarr, xdr_int) == 5
 
     def test_null_ping(self, registry):
         with UdpServer(registry) as server:

@@ -1,7 +1,11 @@
-"""Service dispatch tests: every accept/deny path of RFC 1057."""
+"""Service dispatch tests: every accept/deny path of RFC 1057, and
+residual routes answering byte-identically to the generic path."""
+
+import struct
 
 import pytest
 
+from repro.rpc import make_auth_sys
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.message import (
     AcceptStat,
@@ -104,24 +108,6 @@ def test_truncated_call_dropped(registry):
     assert registry.dispatch_bytes(call_bytes()[:12]) is None
 
 
-def test_specialized_marshaler_hook(registry):
-    calls = {}
-
-    def decode_args(stream):
-        calls["decoded"] = True
-        return xdr_int(stream, None)
-
-    def encode_res(stream, value):
-        calls["encoded"] = True
-        xdr_int(stream, value)
-
-    registry.install_marshaler(PROG, VERS, 1, decode_args, encode_res)
-    reply, stream = reply_of(registry, call_bytes(arg=5))
-    assert reply.stat == AcceptStat.SUCCESS
-    assert xdr_int(stream, None) == 10
-    assert calls == {"decoded": True, "encoded": True}
-
-
 def test_rpc_service_decorator():
     from repro.rpc.server import rpc_service
 
@@ -135,3 +121,69 @@ def test_rpc_service_decorator():
     reply, stream = reply_of(reg, call_bytes(proc=4, arg=6))
     assert reply.stat == AcceptStat.SUCCESS
     assert xdr_int(stream, None) == -6
+
+
+# -- routes ---------------------------------------------------------------
+
+_INT = struct.Struct(">i")
+
+
+def routed(registry):
+    """Stage proc 1 of ``registry`` as a one-``struct``-call route;
+    returns the route."""
+    return registry.stage_route(PROG, VERS, 1,
+                                unpack_args=lambda data, offset:
+                                _INT.unpack_from(data, offset)[0],
+                                pack_res=_INT.pack)
+
+
+def plain():
+    reg = SvcRegistry()
+    reg.register(PROG, VERS, 1, lambda a: a * 2, xdr_int, xdr_int)
+    return reg
+
+
+def test_route_reply_bytes_identical(registry):
+    route = routed(registry)
+    for xid, arg in ((77, 3), (0xFFFFFFFF, -5), (0, 0)):
+        request = call_bytes(arg=arg, xid=xid)
+        assert registry.dispatch_bytes(request) == plain().dispatch_bytes(
+            request)
+    assert route.hits == 3
+
+
+def test_route_error_paths_identical(registry):
+    route = routed(registry)
+    generic = plain()
+    for request in (
+        call_bytes(proc=99),               # PROC_UNAVAIL
+        call_bytes(prog=0x2FFFFFFF),       # PROG_UNAVAIL
+        call_bytes(arg=None),              # GARBAGE_ARGS: route declines
+        call_bytes(proc=0, arg=None),      # NULL ping
+    ):
+        assert registry.dispatch_bytes(request) == generic.dispatch_bytes(
+            request)
+    assert route.hits == 0
+
+
+def test_memoryview_input(registry):
+    """Dispatch reads a receive-buffer view in place, routed or not."""
+    request = bytearray(call_bytes(arg=8))
+    want = plain().dispatch_bytes(bytes(request))
+    assert registry.dispatch_bytes(memoryview(request)) == want
+    routed(registry)
+    assert registry.dispatch_bytes(memoryview(request)) == want
+
+
+def test_auth_sys_call_skips_route(registry):
+    """Routes match null-auth calls only; any other credential takes
+    the generic decoder and is answered identically."""
+    route = routed(registry)
+    stream = XdrMemStream(bytearray(512), XdrOp.ENCODE)
+    encode_call_header(stream, CallHeader(
+        3, PROG, VERS, 1, make_auth_sys(1, "h", 0, 0), NULL_AUTH))
+    xdr_int(stream, 5)
+    request = stream.data()
+    assert registry.dispatch_bytes(request) == plain().dispatch_bytes(
+        request)
+    assert route.hits == 0

@@ -1,11 +1,20 @@
 """Duplicate-request reply cache tests: the LRU itself and its wiring
-into the dispatcher (generic, fastpath, and specialized paths)."""
+into the dispatcher (generic, staged-route, and specialized paths)."""
+
+import socket
+import time
 
 import pytest
 
-from repro.rpc import DuplicateRequestCache, SvcRegistry
+from repro.rpc import (
+    DuplicateRequestCache,
+    MuxUdpServer,
+    SvcRegistry,
+    UdpServer,
+)
 from repro.rpc.client import RpcClient
-from repro.xdr import xdr_array, xdr_int
+from repro.rpc.message import AcceptStat
+from repro.xdr import xdr_array, xdr_int, xdr_u_long
 
 PROG, VERS = 0x20004444, 1
 CALLER = ("10.0.0.1", 40000)
@@ -16,8 +25,8 @@ def xdr_iarr(xdrs, value):
     return xdr_array(xdrs, value, 512, xdr_int)
 
 
-def make_registry(fastpath=False, drc=True):
-    registry = SvcRegistry(fastpath=fastpath, drc=drc)
+def make_registry(drc=True):
+    registry = SvcRegistry(drc=drc)
     calls = []
     registry.register(
         PROG, VERS, 1,
@@ -25,6 +34,11 @@ def make_registry(fastpath=False, drc=True):
     )
     registry.calls_log = calls
     return registry
+
+
+def accept_stat(reply):
+    """The accept_stat word of an accepted reply (null verifier)."""
+    return int.from_bytes(reply[20:24], "big")
 
 
 def build(xid, values, proc=1):
@@ -141,30 +155,16 @@ class TestDispatchIntegration:
         assert again == first
         assert len(attempts) == 1
 
-    def test_fastpath_pool_reuse_cannot_corrupt_cache(self):
-        """The cached reply must be a copy: later dispatches that reuse
-        the pooled reply buffer must not mutate previously cached
-        bytes."""
-        registry = make_registry(fastpath=True)
-        first_request = build(xid=1, values=[10, 20])
-        other_request = build(xid=2, values=[999, 999, 999])
-        first = registry.dispatch_bytes(first_request, caller=CALLER)
-        # Hammer the pooled buffer with different contents.
-        for _ in range(8):
-            registry.dispatch_bytes(other_request, caller=OTHER_CALLER)
-        replay = registry.dispatch_bytes(first_request, caller=CALLER)
-        assert replay == first
-        assert registry.drc.hits >= 1
-
-    def test_fastpath_and_generic_replays_byte_equal(self):
-        generic = make_registry(fastpath=False)
-        fast = make_registry(fastpath=True)
+    def test_route_and_generic_replays_byte_equal(self):
+        generic = make_registry()
+        routed = make_registry()
+        route = routed.stage_route(PROG, VERS, 1)
         request = build(xid=4, values=[5, 6, 7])
-        assert (generic.dispatch_bytes(request, caller=CALLER)
-                == fast.dispatch_bytes(request, caller=CALLER))
-        assert (generic.dispatch_bytes(request, caller=CALLER)
-                == fast.dispatch_bytes(request, caller=CALLER))
-        assert generic.drc.hits == fast.drc.hits == 1
+        for _ in range(2):
+            assert (generic.dispatch_bytes(request, caller=CALLER)
+                    == routed.dispatch_bytes(request, caller=CALLER))
+        assert generic.drc.hits == routed.drc.hits == 1
+        assert route.hits == 1
 
     def test_lru_bound_holds_under_load(self):
         registry = SvcRegistry()
@@ -223,3 +223,166 @@ class TestSpecializedDispatchIntegration:
         matched, result = client_spec.parse_reply(again, 77)
         assert matched
         assert result.vals == [v + 1 for v in range(n)]
+
+
+@pytest.fixture(scope="module")
+def served_pipeline():
+    from repro.specialized import SpecializationPipeline
+
+    return SpecializationPipeline(TestSpecializedDispatchIntegration.IDL,
+                                  impl_sources=[
+                                      TestSpecializedDispatchIntegration
+                                      .IMPL])
+
+
+@pytest.mark.parametrize("server_cls", [UdpServer, MuxUdpServer],
+                         ids=["udp", "mux_udp"])
+class TestServedSpecialization:
+    """``specialize_server(..., fallback=reg)`` served by a transport
+    gets every policy of ``reg``: the transport's ``drc=``/``drc_dir=``
+    configure it, drain and queue-full sheds go through it, its quota
+    charges residual hits, and doomed work is dropped before the route
+    runs."""
+
+    N = 8
+    PROG, VERS, SLOW = 0x20005556, 1, 2
+
+    def spec_for(self, pipeline, fallback):
+        return pipeline.specialize_server(
+            "SENDRECV", arg_lens={"vals": self.N},
+            res_lens={"vals": self.N}, fallback=fallback)
+
+    def request(self, pipeline, xid):
+        return pipeline.specialize_client(
+            "SENDRECV", arg_lens={"vals": self.N},
+            res_lens={"vals": self.N},
+        ).build_request(xid, {"vals": list(range(self.N))})
+
+    @staticmethod
+    def exchange(sock, port, data, timeout=5.0):
+        """Send ``data``; the reply datagram, or None on silence."""
+        sock.sendto(data, ("127.0.0.1", port))
+        sock.settimeout(timeout)
+        try:
+            return sock.recvfrom(65536)[0]
+        except socket.timeout:
+            return None
+
+    @pytest.fixture()
+    def sock(self):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        yield sock
+        sock.close()
+
+    def test_drc_flag_turns_on_the_registry_cache(self, served_pipeline,
+                                                 server_cls, sock):
+        reg = SvcRegistry()
+        spec = self.spec_for(served_pipeline, reg)
+        with server_cls(spec, drc=True) as server:
+            assert reg.drc is not None
+            request = self.request(served_pipeline, 11)
+            first = self.exchange(sock, server.port, request)
+            assert self.exchange(sock, server.port, request) == first
+        assert spec.fast_path_hits == 1
+        assert reg.drc.hits == 1
+        assert reg.handlers_invoked == 1
+
+    def test_journal_replays_across_restart(self, served_pipeline,
+                                            server_cls, sock, tmp_path):
+        request = self.request(served_pipeline, 12)
+        first_reg = SvcRegistry()
+        first = self.spec_for(served_pipeline, first_reg)
+        with server_cls(first, drc=True, drc_dir=str(tmp_path)) as server:
+            assert server.journal is not None
+            reply = self.exchange(sock, server.port, request)
+        assert first.fast_path_hits == 1
+        reborn_reg = SvcRegistry()
+        reborn = self.spec_for(served_pipeline, reborn_reg)
+        with server_cls(reborn, drc=True, drc_dir=str(tmp_path)) as server:
+            assert server.journal.recovery["entries"] >= 1
+            assert self.exchange(sock, server.port, request) == reply
+        assert reborn.fast_path_hits == 0  # replayed from the journal
+
+    def test_drain_sheds_new_calls_but_replays(self, served_pipeline,
+                                               server_cls, sock):
+        reg = SvcRegistry()
+        spec = self.spec_for(served_pipeline, reg)
+        with server_cls(spec, drc=True) as server:
+            answered = self.request(served_pipeline, 13)
+            first = self.exchange(sock, server.port, answered)
+            assert server.drain(timeout=2.0)
+            assert self.exchange(sock, server.port, answered) == first
+            shed = self.exchange(sock, server.port,
+                                 self.request(served_pipeline, 14))
+        assert accept_stat(shed) == AcceptStat.SYSTEM_ERR
+        assert spec.fast_path_hits == 1
+        assert reg.sheds == 1
+
+    def test_quota_charges_residual_hits(self, served_pipeline,
+                                         server_cls, sock):
+        reg = SvcRegistry()
+        reg.install_quota(rate=1.0, burst=1.0, clock=lambda: 1000.0)
+        spec = self.spec_for(served_pipeline, reg)
+        with server_cls(spec, drc=True) as server:
+            replies = [self.exchange(sock, server.port,
+                                     self.request(served_pipeline, xid))
+                       for xid in (21, 22, 23)]
+        assert [accept_stat(r) for r in replies] == [
+            AcceptStat.SUCCESS, AcceptStat.SYSTEM_ERR, AcceptStat.SYSTEM_ERR]
+        assert spec.fast_path_hits == 1
+
+    def test_queue_full_shed_is_answered(self, served_pipeline,
+                                         server_cls, sock):
+        reg = SvcRegistry()
+        reg.register(self.PROG, self.VERS, self.SLOW,
+                     lambda v: time.sleep(0.3) or v,
+                     xdr_args=xdr_u_long, xdr_res=xdr_u_long)
+        spec = self.spec_for(served_pipeline, reg)
+        slow = RpcClient(self.PROG, self.VERS)
+        with server_cls(spec, drc=True, workers=1, queue_depth=1,
+                        queue_policy="fifo") as server:
+            address = ("127.0.0.1", server.port)
+            sock.sendto(slow.build_call(31, self.SLOW, 1, xdr_u_long),
+                        address)
+            time.sleep(0.1)  # the worker is busy with it
+            sock.sendto(slow.build_call(32, self.SLOW, 2, xdr_u_long),
+                        address)  # fills the queue
+            time.sleep(0.05)
+            sock.sendto(self.request(served_pipeline, 33), address)
+            sock.settimeout(5.0)
+            replies = {}
+            while 33 not in replies:
+                data = sock.recvfrom(65536)[0]
+                replies[int.from_bytes(data[:4], "big")] = data
+        assert accept_stat(replies[33]) == AcceptStat.SYSTEM_ERR
+        assert server.requests_shed == 1
+        assert spec.fast_path_hits == 0
+
+    def test_doomed_call_dropped_before_the_route(self, served_pipeline,
+                                                  server_cls, sock):
+        from repro import obs
+        from repro.obs.metrics import MetricsRegistry
+        from repro.rpc.resilience import Deadline
+
+        reg = SvcRegistry()
+        spec = self.spec_for(served_pipeline, reg)
+        stubs = served_pipeline.stubs
+        doomed = RpcClient(self.PROG, self.VERS).build_call_deadline(
+            41, 1, stubs.intarr(vals=list(range(self.N))),
+            stubs.xdr_intarr, Deadline(0.0))
+        prev = obs.enabled, obs.registry
+        obs.registry = MetricsRegistry()
+        obs.enabled = True
+        try:
+            with server_cls(spec, drc=True) as server:
+                assert self.exchange(sock, server.port, bytes(doomed),
+                                     timeout=0.5) is None
+            counters = obs.collect()["counters"]
+        finally:
+            obs.enabled, obs.registry = prev
+        assert reg.doomed_dropped == 1
+        assert counters["rpc.server.requests"] == 1
+        assert spec.route.hits == 0
+        assert not any(name.startswith("rpc.server.route_misses")
+                       for name in counters)

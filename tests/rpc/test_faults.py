@@ -2,8 +2,8 @@
 
 The loopback matrix is the acceptance bar of the failure model: with a
 seeded 20%-drop/10%-duplicate plan on both directions of a UDP wire,
-200 consecutive calls must all return correct results — on the generic
-*and* the fastpath stacks — with every retransmitted duplicate served
+200 consecutive calls must all return correct results — through the
+generic dispatcher *and* a staged residual route — with every retransmitted duplicate served
 from the duplicate-request cache (handler invocations == unique xids).
 """
 
@@ -38,12 +38,17 @@ def xdr_iarr(xdrs, value):
     return xdr_array(xdrs, value, 4096, xdr_int)
 
 
-def make_registry(fastpath=False):
-    registry = SvcRegistry(fastpath=fastpath)
+def make_registry(staged=False):
+    """``staged`` routes both procedures through residual routes built
+    from their XDR filters."""
+    registry = SvcRegistry()
     registry.register(PROG, VERS, 1, lambda a: sum(a), xdr_iarr, xdr_int)
     registry.register(
         PROG, VERS, 2, lambda a: [x + 1 for x in a], xdr_iarr, xdr_iarr
     )
+    if staged:
+        registry.stage_route(PROG, VERS, 1)
+        registry.stage_route(PROG, VERS, 2)
     return registry
 
 
@@ -206,20 +211,19 @@ class TestFaultySocketUdp:
             inner.close()
 
 
-def run_matrix_calls(fastpath, calls=200, drop=0.20, duplicate=0.10,
+def run_matrix_calls(staged, calls=200, drop=0.20, duplicate=0.10,
                      reorder=0.0):
     """The acceptance workload: seeded faulty wire, DRC on, both paths."""
-    registry = make_registry(fastpath=fastpath)
+    registry = make_registry(staged=staged)
     client_plan = FaultPlan(seed=1001, drop=drop, duplicate=duplicate,
                             reorder=reorder)
     server_plan = FaultPlan(seed=2002, drop=drop, duplicate=duplicate,
                             reorder=reorder)
-    with UdpServer(registry, fastpath=fastpath, drc=True,
+    with UdpServer(registry, drc=True,
                    fault_plan=server_plan) as server:
         with UdpClient("127.0.0.1", server.port, PROG, VERS,
                        timeout=30.0, wait=0.005, max_wait=0.25,
-                       jitter=0.0, fastpath=fastpath,
-                       fault_plan=client_plan) as client:
+                       jitter=0.0, fault_plan=client_plan) as client:
             for value in range(calls):
                 assert client.call(1, [value, 1], xdr_iarr,
                                    xdr_int) == value + 1
@@ -231,12 +235,12 @@ def run_matrix_calls(fastpath, calls=200, drop=0.20, duplicate=0.10,
 
 
 class TestFaultMatrixUdp:
-    """The acceptance criterion, generic and fastpath."""
+    """The acceptance criterion, generic and staged."""
 
-    @pytest.mark.parametrize("fastpath", [False, True],
-                             ids=["generic", "fastpath"])
-    def test_200_calls_survive_drop_and_duplication(self, fastpath):
-        registry, server, stats = run_matrix_calls(fastpath)
+    @pytest.mark.parametrize("staged", [False, True],
+                             ids=["generic", "staged"])
+    def test_200_calls_survive_drop_and_duplication(self, staged):
+        registry, server, stats = run_matrix_calls(staged)
         # Every call completed correctly (asserted inside); the DRC
         # absorbed every retransmitted duplicate: the handler ran
         # exactly once per unique xid.
@@ -255,12 +259,12 @@ class TestFaultMatrixUdp:
         )
         assert registry.handlers_invoked == 50
 
-    def test_fastpath_and_generic_replies_byte_equivalent(self):
+    def test_route_and_generic_replies_byte_equivalent(self):
         """The same faulted requests produce byte-identical replies
-        from the generic and fastpath dispatchers, and DRC replays are
-        byte-identical to the first reply."""
-        generic = make_registry(fastpath=False).enable_drc()
-        fast = make_registry(fastpath=True).enable_drc()
+        from the generic dispatcher and a staged route, and DRC replays
+        are byte-identical to the first reply."""
+        generic = make_registry().enable_drc()
+        fast = make_registry(staged=True).enable_drc()
         caller = ("127.0.0.1", 54321)
         plan = FaultPlan(seed=77, corrupt=0.3, truncate=0.2)
         from repro.rpc.client import RpcClient

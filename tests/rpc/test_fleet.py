@@ -399,7 +399,7 @@ class TestQuotaDispatch:
     def test_generic_path_sheds_identically(self):
         counter = []
         registry = self._registry(counter, burst=2.0)
-        registry._staged_routes = None  # force the generic dispatcher
+        registry.remove_route(PROG, VERS, 1)  # force the generic path
         replies = [registry.dispatch_bytes(call_bytes(xid=i, value=i),
                                            caller=CALLER)
                    for i in range(4)]

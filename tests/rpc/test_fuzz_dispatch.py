@@ -40,13 +40,18 @@ from repro.xdr import XdrMemStream, XdrOp, xdr_string, xdr_u_long
 PROG, VERS = 0x20005555, 1
 
 
-def make_registry(fastpath=False, drc=False):
-    registry = SvcRegistry(fastpath=fastpath, drc=drc)
+def make_registry(staged=False, drc=False):
+    """The fuzz target; ``staged`` routes both procedures through
+    residual routes built from their XDR filters."""
+    registry = SvcRegistry(drc=drc)
     registry.register(PROG, VERS, 1, lambda v: (v or 0) + 1,
                       xdr_args=xdr_u_long, xdr_res=xdr_u_long)
     registry.register(PROG, VERS, 2, lambda s: s.upper(),
                       xdr_args=lambda st_, v: xdr_string(st_, v, 256),
                       xdr_res=lambda st_, v: xdr_string(st_, v, 256))
+    if staged:
+        registry.stage_route(PROG, VERS, 1)
+        registry.stage_route(PROG, VERS, 2)
     return registry
 
 
@@ -68,9 +73,9 @@ def assert_dispatch_contained(registry, data, caller=None):
 class TestDispatchFuzz:
     @settings(max_examples=120, deadline=None)
     @given(body=st.binary(max_size=64), proc=st.integers(0, 3),
-           fastpath=st.booleans())
-    def test_valid_header_arbitrary_body(self, body, proc, fastpath):
-        registry = make_registry(fastpath=fastpath)
+           staged=st.booleans())
+    def test_valid_header_arbitrary_body(self, body, proc, staged):
+        registry = make_registry(staged=staged)
         data = valid_header(proc=proc) + body
         assert_dispatch_contained(registry, data,
                                   caller=("fuzz", 1))
@@ -98,7 +103,7 @@ class TestDispatchFuzz:
     @settings(max_examples=80, deadline=None)
     @given(payload=st.binary(max_size=64), cut=st.integers(0, 80))
     def test_truncated_string_calls(self, payload, cut):
-        registry = make_registry(fastpath=True)
+        registry = make_registry(staged=True)
         data = valid_header(proc=2) + payload
         assert_dispatch_contained(registry, bytes(data[:cut]))
 

@@ -30,8 +30,8 @@ from repro.rpc import (
     TcpServer,
     UdpServer,
 )
-from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.faults import FaultPlan
+from repro.rpc.message import accepted_reply_tail
 from repro.rpc.mux import (
     BATCH_MAGIC,
     mark_record,
@@ -45,7 +45,7 @@ PROG, VERS = 0x20008888, 1
 PROC_INC, PROC_SLEEP_MS, PROC_BOOM = 1, 2, 3
 
 #: accepted-SUCCESS reply tail (everything after the xid)
-_REPLY_TAIL = ReplyHeaderTemplate().prefix[4:]
+_REPLY_TAIL = accepted_reply_tail()
 
 
 def _reply_bytes(xid, value):

@@ -25,7 +25,7 @@ from repro.rpc import (
     UdpServer,
 )
 from repro.rpc.drc import DuplicateRequestCache
-from repro.rpc.fastpath import ReplyHeaderTemplate
+from repro.rpc.message import accepted_reply_tail
 from repro.rpc.mux import pack_batch, unpack_batch
 from repro.rpc.svc_mux import make_server
 from repro.xdr import xdr_u_long
@@ -34,7 +34,7 @@ PROG, VERS = 0x20006666, 1
 PROC_INC, PROC_SLEEP_MS = 1, 2
 
 _WORD = struct.Struct(">I")
-_REPLY_TAIL = ReplyHeaderTemplate().prefix[4:]
+_REPLY_TAIL = accepted_reply_tail()
 CALLER = ("127.0.0.1", 54321)
 
 

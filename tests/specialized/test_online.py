@@ -103,7 +103,7 @@ def drive(stubs, registry, xids, n, count, caller=None):
 
 
 def route_of(registry):
-    return next(iter((registry._online_routes or {}).values()), None)
+    return registry.route_for(PROG, VERS, PROC)
 
 
 class TestServerPromotion:
@@ -476,10 +476,49 @@ class TestObsContract:
         snapshot = obs.collect()
         keys = set(snapshot["counters"]) | set(snapshot["gauges"]) | set(
             snapshot["histograms"])
-        for suffix in ("observed", "promotions", "hits", "violations",
+        for suffix in ("observed", "promotions", "violations",
                        "active", "build_s"):
             assert any(key.startswith(f"rpc.spec.online.{suffix}")
                        for key in keys), (suffix, sorted(keys))
+        # route hits are the registry's, labeled with the route's tier
+        assert snapshot["counters"]["rpc.server.route_hits{tier=online}"] == 2
+
+    def test_declined_request_is_counted_once(self, pipeline, stubs):
+        """Observing never changes which code runs: the online route
+        answers with obs on (span tier ``online``), and a request its
+        residual declines is answered generically and counted once in
+        ``rpc.server.requests``, not once per dispatcher it crossed."""
+        from repro import obs
+        from repro.obs.trace import MemorySink
+        registry = make_registry(stubs)
+        shadow = make_registry(stubs)
+        spec = make_spec(pipeline)
+        spec.attach_server(registry)
+        drive(stubs, registry, itertools.count(1), HOT_N,
+              POLICY["min_calls"])
+        spec.poll_once()
+        route = route_of(registry)
+        hit = call_bytes(stubs, 901, HOT_N)
+        # the specialized size, but a length word past MAXN: the
+        # residual declines, the generic path answers GARBAGE_ARGS
+        declined = bytearray(call_bytes(stubs, 902, HOT_N))
+        declined[40:44] = struct.pack(">I", 1000)
+        sink = MemorySink()
+        prev = obs.enabled, obs.tracer.sinks
+        obs.registry.reset()
+        obs.tracer.sinks = [sink]
+        obs.enabled = True
+        try:
+            replies = [registry.dispatch_bytes(hit),
+                       registry.dispatch_bytes(bytes(declined))]
+        finally:
+            obs.enabled, obs.tracer.sinks = prev
+        assert replies == [shadow.dispatch_bytes(hit),
+                           shadow.dispatch_bytes(bytes(declined))]
+        assert obs.collect()["counters"]["rpc.server.requests"] == 2
+        roots = [r for r in sink.records if r["name"] == "server.dispatch"]
+        assert [r["tier"] for r in roots] == ["online", "generic"]
+        assert route.violations == 1
 
     def test_promotion_is_verified(self, stubs):
         # Every residual the online path promotes must have passed the
